@@ -979,6 +979,10 @@ let () =
 (* (cold_ms, warm_ms, warm summarizations) for the --check gate below. *)
 let analyze_cold_warm_ms = ref None
 
+(* Unsuppressed violations found by the syntactic pass and the
+   analyzer, also gated under --check. *)
+let lint_violations = ref []
+
 let () =
   section "lint" (fun () ->
       let module Lint = Mycelium_lint.Lint in
@@ -1013,6 +1017,7 @@ let () =
               (report, Unix.gettimeofday () -. t0))
         in
         let files = report.Lint.files in
+        lint_violations := [ ("lint", List.length report.Lint.violations) ];
         say "\n";
         say "=== Lint: full-repo static analysis ===\n";
         say "  %d files in %.1f ms (%.0f files/s)\n" files (dt *. 1e3)
@@ -1053,7 +1058,11 @@ let () =
             (fun () ->
               let timed () =
                 let t0 = Unix.gettimeofday () in
-                let res = A.run ~cache ~roots:aroots () in
+                (* Sources (and their suppression comments) are read
+                   from the root the analyze CLI resolves, not from the
+                   working directory — under @slow that is the test
+                   directory inside the build tree. *)
+                let res = A.run ~cache ~source_root:root ~roots:aroots () in
                 (res, (Unix.gettimeofday () -. t0) *. 1e3)
               in
               let cold, cold_ms = timed () in
@@ -1064,6 +1073,8 @@ let () =
                   (List.hd warms) (List.tl warms)
               in
               analyze_cold_warm_ms := Some (cold_ms, warm_ms, warm.A.stats.A.sa_summarized);
+              lint_violations :=
+                !lint_violations @ [ ("analyzer", List.length cold.A.report.Lint.violations) ];
               let s = cold.A.stats in
               say "=== Analyze: interprocedural privacy flow ===\n";
               say "  %d modules, %d functions; cold %.1f ms, warm %.1f ms (%.2fx)\n"
@@ -1260,10 +1271,14 @@ let () =
 
 (* The cache's reason to exist: a warm run must skip every
    summarization and come in measurably under the cold run (best warm
-   of three against one cold, so scheduler noise cannot flip it). *)
+   of three against one cold, so scheduler noise cannot flip it).  And
+   the tree itself must be clean: any unsuppressed violation fails. *)
 let () =
   if check_mode && wants "lint" then begin
     let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("check: " ^ s); exit 1) fmt in
+    List.iter
+      (fun (pass, n) -> if n > 0 then fail "%s pass reports %d unsuppressed violations" pass n)
+      !lint_violations;
     match !analyze_cold_warm_ms with
     | None -> say "check: analyzer cells skipped (no build tree); cache gate not applicable\n"
     | Some (cold_ms, warm_ms, warm_summarized) ->

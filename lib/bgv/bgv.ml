@@ -108,11 +108,7 @@ let eval_at_secret ct s =
 
 let decode_noisy ctx v =
   let t = ctx.p.Params.plain_modulus in
-  let big_t = Bigint.of_int t in
-  let coeffs =
-    Array.map (fun c -> Bigint.to_int (Bigint.erem c big_t)) (Rq.to_bigint_coeffs v)
-  in
-  Plaintext.create ~plain_modulus:t coeffs
+  Plaintext.create ~plain_modulus:t (Rq.centered_coeffs_mod v t)
 
 let decrypt ctx sk ct = decode_noisy ctx (eval_at_secret ct sk.s)
 

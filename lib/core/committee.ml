@@ -45,12 +45,23 @@ let genesis ctx rng ~size ~threshold ~relin_degree =
   in
   (t, pk, relin, srs)
 
-let rotate t rng ~population =
-  let member_ids = Rng.sample_without_replacement rng t.size population in
-  (* Any threshold+1 current holders re-share to the new committee. *)
-  let dealers = Array.to_list (Array.sub t.shares 0 (t.thresh + 1)) in
-  let shares = Vsr.redistribute_rq rng ~new_threshold:t.thresh ~new_parties:t.size dealers in
-  { t with member_ids; shares; generation = t.generation + 1 }
+let rotate ?(crashed = []) t rng ~population =
+  (* Any threshold+1 current holders re-share to the new committee; a
+     crashed member never answers, so the first threshold+1 live ones
+     deal.  The liveness check comes before any draw. *)
+  let live =
+    List.filter (fun i -> not (List.exists (Int.equal i) crashed)) (List.init t.size Fun.id)
+  in
+  if List.length live < t.thresh + 1 then
+    Error
+      (Printf.sprintf "committee hand-off needs %d live members, have %d" (t.thresh + 1)
+         (List.length live))
+  else begin
+    let member_ids = Rng.sample_without_replacement rng t.size population in
+    let dealers = List.filteri (fun k _ -> k <= t.thresh) live |> List.map (fun i -> t.shares.(i)) in
+    let shares = Vsr.redistribute_rq rng ~new_threshold:t.thresh ~new_parties:t.size dealers in
+    Ok { t with member_ids; shares; generation = t.generation + 1 }
+  end
 
 type release = {
   noisy_bins : float array;

@@ -30,10 +30,14 @@ val genesis :
     trusted setup, and the initial sharing. The secret key itself is
     discarded — from here on it exists only as shares. *)
 
-val rotate : t -> Mycelium_util.Rng.t -> population:int -> t
+val rotate :
+  ?crashed:int list -> t -> Mycelium_util.Rng.t -> population:int -> (t, string) result
 (** Draw the next committee from the device population and hand the key
     over with VSR; the old committee's shares become useless (shares of
-    different sharings do not mix). *)
+    different sharings do not mix). The first threshold+1 members not
+    in [crashed] (committee positions, as {!decrypt_and_release}'s
+    [excluded]; default none) deal; fails, drawing nothing, when fewer
+    than threshold+1 are live. *)
 
 type release = {
   noisy_bins : float array;

@@ -125,7 +125,11 @@ let init cfg graph =
   in
   (* Hand the key from the genesis parties to the first device
      committee. *)
-  let comm = Committee.rotate genesis rng ~population:(Cg.population graph) in
+  let comm =
+    match Committee.rotate genesis rng ~population:(Cg.population graph) with
+    | Ok c -> c
+    | Error e -> invalid_arg ("Runtime.init: " ^ e)
+  in
   let n = Cg.population graph in
   let n_byz = int_of_float (Float.round (float_of_int n *. cfg.byzantine_fraction)) in
   let byzantine = Array.make n false in
@@ -475,7 +479,11 @@ let rec run_query_ast_inner ~epsilon ~ph t query =
     if Injector.active inj then
       Injector.note_decryption_attempts inj release.Committee.attempts;
     (* Rotate the committee for the next query (§4.2). *)
-    t.comm <- Committee.rotate t.comm t.rng ~population:(Cg.population t.graph);
+    let* comm =
+      Committee.rotate ~crashed:excluded t.comm t.rng ~population:(Cg.population t.graph)
+      |> Result.map_error (fun e -> Pipeline_error e)
+    in
+    t.comm <- comm;
     let mix_hops =
       match t.cfg.route_through_mixnet with Some c -> c.Sim.hops | None -> 3
     in
@@ -1187,11 +1195,16 @@ let run_batch t items =
             *. float_of_int p.p_info.Analysis.layout.Analysis.total_bins
             /. float_of_int total_bins)
         decrypt_idx;
+      let res =
+        Result.bind res (fun releases ->
+            Committee.rotate ~crashed:excluded t.comm t.rng ~population:(Cg.population t.graph)
+            |> Result.map (fun comm -> (releases, comm)))
+      in
       (match res with
       | Error e ->
         List.iter (fun (i, _) -> states.(i) <- Error (Pipeline_error e)) decrypt_idx
-      | Ok releases ->
-        t.comm <- Committee.rotate t.comm t.rng ~population:(Cg.population t.graph);
+      | Ok (releases, comm) ->
+        t.comm <- comm;
         let mix_hops =
           match t.cfg.route_through_mixnet with Some c -> c.Sim.hops | None -> 3
         in

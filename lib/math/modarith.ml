@@ -134,3 +134,30 @@ let shoup_mul p w w' x =
   let q = ((x * (w' lsr 31)) + ((x * (w' land 0x7FFFFFFF)) lsr 31)) lsr 31 in
   let r = (x * w) - (q * p) in
   if r >= p then r - p else r
+
+(* Row kernels for a fixed multiplier: the Shoup product above, inlined
+   by hand (no cross-module inlining without flambda, so a per-element
+   call to [shoup_mul] would dominate), with every conditional
+   subtraction of p branch-free — subtract, then add p back under the
+   sign mask (v asr 62) — because on uniformly random residues a
+   reduction branch is a coin flip.  Inputs need only be < 2^31, as
+   for [shoup_mul]; [dst] holds reduced residues. *)
+let shoup_mul_add_row p w w' src dst =
+  let whi = w' lsr 31 and wlo = w' land 0x7FFFFFFF in
+  for c = 0 to Array.length dst - 1 do
+    let x = src.(c) in
+    let q = ((x * whi) + ((x * wlo) lsr 31)) lsr 31 in
+    let r = (x * w) - (q * p) - p in
+    let s = dst.(c) + r + ((r asr 62) land p) - p in
+    dst.(c) <- s + ((s asr 62) land p)
+  done
+
+let shoup_mul_sub_row p w w' src dst =
+  let whi = w' lsr 31 and wlo = w' land 0x7FFFFFFF in
+  for c = 0 to Array.length dst - 1 do
+    let x = src.(c) in
+    let q = ((x * whi) + ((x * wlo) lsr 31)) lsr 31 in
+    let r = (x * w) - (q * p) - p in
+    let d = dst.(c) - (r + ((r asr 62) land p)) in
+    dst.(c) <- d + ((d asr 62) land p)
+  done

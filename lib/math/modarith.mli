@@ -51,6 +51,18 @@ val shoup_precompute : int -> int -> int
 val shoup_mul : int -> int -> int -> int -> int
 (** [shoup_mul p w w' x] is [x * w mod p] using the precomputed
     [w' = shoup_precompute p w]: two multiplies plus a conditional
-    subtraction, no division. Requires reduced [x] and [p < 2^31].
+    subtraction, no division. Requires [x < 2^31] (reduced or not) and
+    [p < 2^31].
     The NTT butterflies inline this arithmetic; this entry point is the
     specification used by the equivalence tests. *)
+
+val shoup_mul_add_row : int -> int -> int -> int array -> int array -> unit
+(** [shoup_mul_add_row p w w' src dst] sets [dst.(c) <- (dst.(c) + w *
+    src.(c)) mod p] for every [c] of [dst] ([src] at least as long),
+    with [w' = shoup_precompute p w], reduced [w] and [dst], and
+    [src.(c) < 2^31]: the multiply-accumulate pass of sharing,
+    interpolation and CRT decoding, branch-free and division-free. *)
+
+val shoup_mul_sub_row : int -> int -> int -> int array -> int array -> unit
+(** [shoup_mul_sub_row p w w' src dst]: as {!shoup_mul_add_row}, with
+    [dst.(c) <- (dst.(c) - w * src.(c)) mod p]. *)

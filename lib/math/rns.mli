@@ -3,8 +3,9 @@
     A large ciphertext modulus q = p_0 * p_1 * ... * p_{L-1} is
     represented by per-prime residues so that all polynomial arithmetic
     runs on native ints (see {!Modarith}); the big integer q only
-    appears at CRT reconstruction time (BGV decryption, key switching
-    digit decomposition). *)
+    appears at CRT reconstruction time (key switching digit
+    decomposition, modulus switching).  BGV decryption decodes through
+    mixed-radix digits in native ints ({!centered_rows_mod}). *)
 
 type t
 (** An RNS basis: the primes, their NTT plans for a fixed ring degree,
@@ -54,6 +55,13 @@ val to_bigint_rows_centered : t -> int array array -> Bigint.t array
     coefficient domain) in a single limb-major pass — equivalent to
     mapping {!to_bigint_centered} over columns but without the
     per-coefficient temporary. *)
+
+val centered_rows_mod : t -> int -> int array array -> int array
+(** [centered_rows_mod t m rows] reduces the centered CRT value of every
+    coefficient of a residue matrix into [\[0, m)] — equal to
+    {!to_bigint_rows_centered} followed by a Euclidean remainder by [m],
+    but decoded in native ints through mixed-radix (Garner) digits.
+    Requires [m >= 1]; a modulus of 2^31 or more takes the Bigint path. *)
 
 val of_bigint : t -> Bigint.t -> int array
 (** Project an integer (any sign) onto the basis. *)

@@ -136,6 +136,8 @@ let coeff_rows_snapshot t =
 
 let to_bigint_coeffs t = Rns.to_bigint_rows_centered t.basis (coeff_rows_snapshot t)
 
+let centered_coeffs_mod t m = Rns.centered_rows_mod t.basis m (coeff_rows_snapshot t)
+
 (* Structural comparison must not see the representation: normalise a
    mixed pair to the evaluation domain (the transform is a bijection,
    so equality of rows is preserved) and compare the limb arrays

@@ -48,6 +48,13 @@ val to_bigint_coeffs : t -> Bigint.t array
     Cold path; does not change the input's resident representation
     (an Eval input is inverse-transformed into a scratch copy). *)
 
+val centered_coeffs_mod : t -> int -> int array
+(** [centered_coeffs_mod t m] is every centered coefficient reduced into
+    [\[0, m)] ({!Rns.centered_rows_mod}), without building a Bigint per
+    coefficient; like {!to_bigint_coeffs} it leaves the input's
+    representation alone.  BGV decoding, with [m] the plaintext
+    modulus. *)
+
 val residues : t -> int array array
 (** Underlying per-prime rows, in the domain reported by {!repr_of}
     (do not mutate). Callers that need a specific domain must force it

@@ -91,18 +91,28 @@ let group_info (q : Ast.t) =
           Ok (Group_edge, count)
         else Ok (Group_self, count)))
 
+(* Neighborhood sizes grow exponentially in the hop count, so every
+   size below is computed with checked arithmetic (non-negative
+   operands): a neigh(k) whose sizes overflow a native int is an
+   analysis error, not a wrapped-around bound. *)
+let checked_add a b = if a > max_int - b then None else Some (a + b)
+let checked_mul a b = if a <> 0 && b > max_int / a then None else Some (a * b)
+
 (* 1 + d + d(d-1) + ... : the ball size under degree bound d, also the
    number of origins one device can influence. *)
 let ball_size ~degree_bound ~hops =
-  let acc = ref 1 and layer = ref degree_bound in
-  for i = 1 to hops do
-    acc := !acc + !layer;
-    if i < hops then layer := !layer * (degree_bound - 1)
-  done;
-  !acc
+  let rec go i acc layer =
+    match checked_add acc layer with
+    | None -> None
+    | Some acc when i = hops -> Some acc
+    | Some acc -> Option.bind (checked_mul layer (degree_bound - 1)) (go (i + 1) acc)
+  in
+  if hops < 1 then Some 1 else go 1 1 degree_bound
 
 let pow_int b e =
-  let rec go acc e = if e = 0 then acc else go (acc * b) (e - 1) in
+  let rec go acc e =
+    if e = 0 then Some acc else Option.bind (checked_mul acc b) (fun acc -> go acc (e - 1))
+  in
   go 1 e
 
 let analyze ?(degree_bound = 10) (q : Ast.t) =
@@ -144,8 +154,11 @@ let analyze ?(degree_bound = 10) (q : Ast.t) =
   (* Value slots: range of the local aggregation result. The neigh(k)
      table has up to ball_size rows (neighborhood plus the origin's own
      row), each contributing at most the per-row maximum. *)
-  let mults = pow_int degree_bound q.Ast.hops in
-  let contributions = ball_size ~degree_bound ~hops:q.Ast.hops in
+  let too_large = Printf.sprintf "neigh(%d) is too large to analyze" q.Ast.hops in
+  let* mults = Option.to_result ~none:too_large (pow_int degree_bound q.Ast.hops) in
+  let* contributions =
+    Option.to_result ~none:too_large (ball_size ~degree_bound ~hops:q.Ast.hops)
+  in
   let agg = match q.Ast.output with Ast.Histo a -> a | Ast.Gsum { num; _ } -> num in
   let* per_contribution_max =
     match agg with
@@ -154,22 +167,21 @@ let analyze ?(degree_bound = 10) (q : Ast.t) =
       if not (Ast.colref_valid c) then Error "invalid aggregation column"
       else Ok (field_slots c.Ast.field - 1)
   in
-  let value_slots = (per_contribution_max * contributions) + 1 in
   let is_ratio =
     match q.Ast.output with
     | Ast.Gsum { ratio; _ } -> ratio
     | Ast.Histo _ -> false
   in
-  let count_slots = if is_ratio then contributions + 1 else 1 in
-  let layout =
-    {
-      group_count;
-      count_slots;
-      value_slots;
-      total_bins = group_count * count_slots * value_slots;
-    }
+  let sizes =
+    let ( let* ) = Option.bind in
+    let* value_slots = Option.bind (checked_mul per_contribution_max contributions) (checked_add 1) in
+    let* count_slots = if is_ratio then checked_add contributions 1 else Some 1 in
+    let* total_bins = Option.bind (checked_mul group_count count_slots) (checked_mul value_slots) in
+    Some { group_count; count_slots; value_slots; total_bins }
   in
-  let influence_bound = ball_size ~degree_bound ~hops:q.Ast.hops in
+  let* layout = Option.to_result ~none:too_large sizes in
+  let value_slots = layout.value_slots in
+  let influence_bound = contributions in
   let* clip =
     match q.Ast.output with
     | Ast.Histo _ -> Ok None

@@ -55,30 +55,69 @@ type rq_share = { idx : int; value : Rq.t }
    key is Eval-resident after keygen, partial decryptions multiply
    shares straight into Eval ciphertexts, and sharing, interpolation
    and redistribution are all linear, so they commute with the NTT —
-   sharing the transformed rows IS sharing the polynomial. *)
+   sharing the transformed rows IS sharing the polynomial.
+
+   Linearity also folds many dealings into one: if dealer i shares v_i
+   with polynomial f_i, new member j's weighted sum sum_i w_i f_i(j) is
+   F(j) for the single polynomial F = sum_i w_i f_i.  So each dealer's
+   coefficients are folded into F limb by limb as they are drawn (one
+   Shoup multiply by the dealer's weight each) and F is evaluated once
+   per member, instead of evaluating every f_i at every member and
+   accumulating.  The draws are those of dealing each v_i in turn —
+   dealer, limb, coefficient, then polynomial degree — so the stream
+   ends where dealer-by-dealer sharing would leave it. *)
+let share_weighted_rq rng ~threshold ~parties dealers =
+  match dealers with
+  | [] -> invalid_arg "Shamir.share_weighted_rq: no dealers"
+  | (_, first) :: _ ->
+    let basis = Rq.basis_of first in
+    let primes = Rns.primes basis in
+    let n = Rns.degree basis in
+    Array.iter (fun p -> validate ~p ~threshold ~parties) primes;
+    (* f.(pi).(k).(c): limb pi, coefficient k of F, ring coefficient c.
+       drawn.(k - 1) holds one dealer's random coefficient-k row for the
+       current limb, filled in draw order before it is folded. *)
+    let f = Array.map (fun _ -> Array.init (threshold + 1) (fun _ -> Array.make n 0)) primes in
+    let drawn = Array.init threshold (fun _ -> Array.make n 0) in
+    List.iter
+      (fun (weights, v) ->
+        if not (Rns.equal (Rq.basis_of v) basis) then
+          invalid_arg "Shamir.share_weighted_rq: dealers on different bases";
+        Rq.force_eval v;
+        let rows = Rq.residues v in
+        Array.iteri
+          (fun pi p ->
+            for c = 0 to n - 1 do
+              for k = 1 to threshold do
+                drawn.(k - 1).(c) <- Rng.int rng p
+              done
+            done;
+            let w = Modarith.reduce p weights.(pi) in
+            let w' = Modarith.shoup_precompute p w in
+            Modarith.shoup_mul_add_row p w w' rows.(pi) f.(pi).(0);
+            Array.iteri (fun k row -> Modarith.shoup_mul_add_row p w w' row f.(pi).(k + 1)) drawn)
+          primes)
+      dealers;
+    Array.init parties (fun j ->
+        let x = j + 1 in
+        let rows =
+          Array.mapi
+            (fun pi p ->
+              let fl = f.(pi) in
+              let out = Array.copy fl.(0) in
+              let xk = ref 1 in
+              for k = 1 to threshold do
+                xk := Modarith.mul p !xk x;
+                Modarith.shoup_mul_add_row p !xk (Modarith.shoup_precompute p !xk) fl.(k) out
+              done;
+              out)
+            primes
+        in
+        { idx = x; value = Rq.of_residues ~repr:Rq.Eval basis rows })
+
 let share_rq rng ~threshold ~parties v =
-  let basis = Rq.basis_of v in
-  let primes = Rns.primes basis in
-  let n = Rns.degree basis in
-  Rq.force_eval v;
-  let rows = Rq.residues v in
-  (* One residue matrix per party, filled coefficient by coefficient. *)
-  let outs = Array.init parties (fun _ -> Array.map (fun _ -> Array.make n 0) primes) in
-  let coeffs = Array.make (threshold + 1) 0 in
-  Array.iteri
-    (fun pi p ->
-      validate ~p ~threshold ~parties;
-      for c = 0 to n - 1 do
-        coeffs.(0) <- rows.(pi).(c);
-        for k = 1 to threshold do
-          coeffs.(k) <- Rng.int rng p
-        done;
-        for j = 0 to parties - 1 do
-          outs.(j).(pi).(c) <- eval_poly ~p coeffs (j + 1)
-        done
-      done)
-    primes;
-  Array.mapi (fun j rows -> { idx = j + 1; value = Rq.of_residues ~repr:Rq.Eval basis rows }) outs
+  let ones = Array.map (fun _ -> 1) (Rns.primes (Rq.basis_of v)) in
+  share_weighted_rq rng ~threshold ~parties [ (ones, v) ]
 
 let lambda_rows basis xs =
   Array.map (fun p -> lagrange_at_zero ~p xs) (Rns.primes basis)
@@ -100,10 +139,7 @@ let reconstruct_rq basis shares =
              two multiplies — this loop is degree * limbs * shares at
              paper scale. *)
           let l = lambdas.(pi).(i) in
-          let l' = Modarith.shoup_precompute p l in
-          for c = 0 to n - 1 do
-            acc.(pi).(c) <- Modarith.add p acc.(pi).(c) (Modarith.shoup_mul p l l' rows.(pi).(c))
-          done)
+          Modarith.shoup_mul_add_row p l (Modarith.shoup_precompute p l) rows.(pi) acc.(pi))
         primes)
     shares;
   Rq.of_residues ~repr:Rq.Eval basis acc

@@ -56,6 +56,23 @@ val share_rq :
   parties:int ->
   Mycelium_math.Rq.t ->
   rq_share array
+(** [share_rq rng ~threshold ~parties v] shares [v] to parties
+    x = 1..parties; the one-dealer, unit-weight {!share_weighted_rq}. *)
+
+val share_weighted_rq :
+  Mycelium_util.Rng.t ->
+  threshold:int ->
+  parties:int ->
+  (int array * Mycelium_math.Rq.t) list ->
+  rq_share array
+(** [share_weighted_rq rng ~threshold ~parties dealers]: each dealer
+    [(w, v)] shares [v] with a fresh degree-[threshold] polynomial f,
+    and party x receives [sum w * f(x)], [w] given per prime.  The
+    weighted sum is computed as one folded polynomial evaluated once
+    per party; the result and the draws from [rng] are those of
+    sharing each [v] in turn with {!share_rq} and accumulating the
+    weighted shares.  Raises [Invalid_argument] on an empty list or
+    dealers on different bases. *)
 
 val reconstruct_rq : Mycelium_math.Rns.t -> rq_share list -> Mycelium_math.Rq.t
 

@@ -22,6 +22,11 @@ module Sim = Mycelium_mixnet.Sim
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
+let rotate_ok c rng ~population =
+  match Committee.rotate c rng ~population with
+  | Ok c -> c
+  | Error e -> Alcotest.fail e
+
 let small_graph ?(n = 24) ?(d = 4) ?(seed = 4242L) () =
   let rng = Rng.create seed in
   let g =
@@ -142,7 +147,7 @@ let test_committee_lifecycle () =
   checki "genesis generation" 0 (Committee.generation genesis);
   checkb "genesis members are placeholders" true
     (Array.for_all (fun m -> m = -1) (Committee.members genesis));
-  let c1 = Committee.rotate genesis rng ~population:100 in
+  let c1 = rotate_ok genesis rng ~population:100 in
   checki "generation 1" 1 (Committee.generation c1);
   checkb "members drawn from population" true
     (Array.for_all (fun m -> m >= 0 && m < 100) (Committee.members c1));
@@ -161,7 +166,7 @@ let test_committee_many_rotations () =
   let genesis, pk, _, _ = Committee.genesis ctx rng ~size:5 ~threshold:2 ~relin_degree:2 in
   let c = ref genesis in
   for _ = 1 to 5 do
-    c := Committee.rotate !c rng ~population:50
+    c := rotate_ok !c rng ~population:50
   done;
   checki "generation 5" 5 (Committee.generation !c);
   let sk = Committee.reconstruct_for_tests !c ctx in
@@ -173,7 +178,7 @@ let test_committee_liveness_retry () =
   let ctx = Bgv.make_ctx fast_params in
   let rng = Rng.create 4L in
   let genesis, pk, _, _ = Committee.genesis ctx rng ~size:10 ~threshold:4 ~relin_degree:2 in
-  let c = Committee.rotate genesis rng ~population:100 in
+  let c = rotate_ok genesis rng ~population:100 in
   let info = Analysis.analyze_exn (Corpus.find "Q5").Corpus.query in
   let ct = Bgv.encrypt_value ctx rng pk 7 in
   (* Heavy churn: decryption still succeeds, via retries. *)
@@ -196,7 +201,7 @@ let test_committee_rejects_high_degree () =
   let ctx = Bgv.make_ctx fast_params in
   let rng = Rng.create 3L in
   let genesis, pk, _, _ = Committee.genesis ctx rng ~size:5 ~threshold:2 ~relin_degree:2 in
-  let c = Committee.rotate genesis rng ~population:50 in
+  let c = rotate_ok genesis rng ~population:50 in
   let prod = Bgv.mul (Bgv.encrypt_value ctx rng pk 1) (Bgv.encrypt_value ctx rng pk 1) in
   let info = Analysis.analyze_exn (Corpus.find "Q5").Corpus.query in
   match Committee.decrypt_and_release c rng ctx ~info ~epsilon:1.0 prod with

@@ -375,7 +375,11 @@ let test_committee_threshold_liveness_boundary () =
   let ctx = Bgv.make_ctx Params.test_small in
   let rng = Rng.create 31L in
   let genesis, pk, _, _ = Committee.genesis ctx rng ~size:10 ~threshold:4 ~relin_degree:2 in
-  let c = Committee.rotate genesis rng ~population:40 in
+  let c =
+    match Committee.rotate genesis rng ~population:40 with
+    | Ok c -> c
+    | Error e -> Alcotest.fail e
+  in
   let info = Analysis.analyze_exn (Corpus.find "Q5").Corpus.query in
   let ct = Bgv.encrypt_value ctx rng pk 7 in
   (match
@@ -390,6 +394,27 @@ let test_committee_threshold_liveness_boundary () =
   with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "4 survivors decrypted below the threshold quorum"
+
+let test_committee_rotation_skips_crashed () =
+  (* A crashed member never answers, in decryption or in the VSR
+     hand-off: with 5 of 10 crashed the survivors deal and the key
+     carries over; with 6 crashed the hand-off fails before drawing. *)
+  let ctx = Bgv.make_ctx Params.test_small in
+  let rng = Rng.create 32L in
+  let genesis, pk, _, _ = Committee.genesis ctx rng ~size:10 ~threshold:4 ~relin_degree:2 in
+  let ct = Bgv.encrypt_value ctx rng pk 5 in
+  (match Committee.rotate ~crashed:[ 0; 1; 2; 3; 4 ] genesis rng ~population:40 with
+  | Error e -> Alcotest.failf "5 live members should deal: %s" e
+  | Ok c ->
+    checki "generation advanced" 1 (Committee.generation c);
+    let sk = Committee.reconstruct_for_tests c ctx in
+    checkb "key survives a hand-off dealt by the live members" true
+      (Mycelium_bgv.Plaintext.coeff (Bgv.decrypt ctx sk ct) 5 = 1));
+  let before = Rng.copy rng in
+  (match Committee.rotate ~crashed:[ 0; 1; 2; 3; 4; 5 ] genesis rng ~population:40 with
+  | Ok _ -> Alcotest.fail "4 live members dealt below the threshold quorum"
+  | Error _ -> ());
+  checkb "failed hand-off drew nothing" true (Rng.int64 before = Rng.int64 rng)
 
 let test_chaos_through_mixnet () =
   (* Transit drops ride the mixnet's replica copies; with aggressive
@@ -659,6 +684,8 @@ let () =
             test_chaos_finite_epsilon_still_bounded;
           Alcotest.test_case "threshold liveness boundary" `Quick
             test_committee_threshold_liveness_boundary;
+          Alcotest.test_case "rotation deals from live members" `Quick
+            test_committee_rotation_skips_crashed;
           Alcotest.test_case "chaos through the mixnet" `Quick test_chaos_through_mixnet;
           Alcotest.test_case "identical across domain counts" `Quick
             test_parallel_domains_identical;

@@ -9,6 +9,7 @@ module Ntt = Mycelium_math.Ntt
 module Bigint = Mycelium_math.Bigint
 module Rns = Mycelium_math.Rns
 module Rq = Mycelium_math.Rq
+module Params = Mycelium_bgv.Params
 
 let check = Alcotest.check
 let checkb = Alcotest.(check bool)
@@ -553,6 +554,44 @@ let test_rns_drop_last () =
       (Rns.to_bigint b' (Rns.of_bigint b' x))
   done
 
+(* The Garner decode against the Bigint CRT path it replaced, which
+   stays as the oracle: every column of the bases' real prime chains
+   (degree 64 — the primes of a larger ring are NTT-friendly here too,
+   and the mixed-radix constants depend on the primes alone), reduced
+   mod the parameter set's plaintext modulus.  The first columns hold
+   the centering edge cases. *)
+let test_rns_centered_rows_mod_matches_bigint () =
+  let rng = Rng.create 4711L in
+  let degree = 64 in
+  List.iter
+    (fun ((p : Params.t), name) ->
+      let primes = Ntt.find_primes ~degree:p.Params.degree ~bits:p.Params.prime_bits ~count:p.Params.levels in
+      let b = Rns.make ~primes ~degree () in
+      let q = Rns.modulus b in
+      let half = Bigint.shift_right q 1 in
+      let edges =
+        [ Bigint.zero; Bigint.one; Bigint.sub half Bigint.one; half; Bigint.add half Bigint.one;
+          Bigint.sub q Bigint.one ]
+      in
+      let columns =
+        Array.init degree (fun c ->
+            match List.nth_opt edges c with Some v -> v | None -> Bigint.random rng q)
+      in
+      let cols = Array.map (Rns.of_bigint b) columns in
+      let rows = Array.init (List.length primes) (fun i -> Array.map (fun col -> col.(i)) cols) in
+      List.iter
+        (fun m ->
+          let big_m = Bigint.of_int m in
+          let expected =
+            Array.map (fun v -> Bigint.to_int (Bigint.erem v big_m)) (Rns.to_bigint_rows_centered b rows)
+          in
+          let got = Rns.centered_rows_mod b m rows in
+          Array.iteri
+            (fun c e -> checki (Printf.sprintf "%s mod %d, column %d" name m c) e got.(c))
+            expected)
+        [ p.Params.plain_modulus; 2; (1 lsl 31) - 1; (1 lsl 40) + 15 ])
+    [ (Params.test_small, "test_small"); (Params.test_medium, "test_medium"); (Params.paper, "paper") ]
+
 let test_rq_monomial_mul () =
   let b = Lazy.force small_basis in
   (* x^a * x^b = x^(a+b): the core encoding trick of Mycelium (§4.1). *)
@@ -710,6 +749,8 @@ let () =
           Alcotest.test_case "centered reconstruction" `Quick test_rns_centered;
           Alcotest.test_case "homomorphic add" `Quick test_rns_homomorphic_add;
           Alcotest.test_case "drop_last" `Quick test_rns_drop_last;
+          Alcotest.test_case "Garner decode = Bigint CRT" `Quick
+            test_rns_centered_rows_mod_matches_bigint;
           Alcotest.test_case "monomial multiplication" `Quick test_rq_monomial_mul;
           Alcotest.test_case "bin aggregation (§4.1)" `Quick test_rq_bin_aggregation;
           Alcotest.test_case "negacyclic exponent wrap" `Quick test_rq_negacyclic;

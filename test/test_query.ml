@@ -195,6 +195,17 @@ let prop_analysis_total =
 (* Analysis                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* neigh(42) under degree bound 4: 4^42 and the ball size overflow a
+   native int.  The analysis must reject the query, not wrap the sizes
+   around into an invalid DP bound. *)
+let test_huge_neighborhood_rejected () =
+  match Parser.parse "SELECT HISTO(COUNT(*)) FROM neigh(42) WHERE self.inf = 1" with
+  | Error e -> Alcotest.failf "parse: %s" e.Parser.message
+  | Ok q -> (
+    match Analysis.analyze ~degree_bound:4 q with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.fail "neigh(42) analyzed")
+
 let test_fig6_ciphertext_counts () =
   (* Figure 6 regression: exact reproduction of the reported counts. *)
   List.iter
@@ -592,6 +603,8 @@ let () =
           Alcotest.test_case "Figure 6 ciphertext counts" `Quick test_fig6_ciphertext_counts;
           Alcotest.test_case "predicate classification" `Quick test_classification;
           Alcotest.test_case "influence bounds" `Quick test_influence_bound;
+          Alcotest.test_case "neigh(42) rejected, not overflowed" `Quick
+            test_huge_neighborhood_rejected;
           Alcotest.test_case "sensitivity (§4.7)" `Quick test_sensitivity;
           Alcotest.test_case "layouts fit the ring" `Quick test_layouts_fit_ring;
           Alcotest.test_case "generality (§6.2)" `Quick test_generality_section_6_2;

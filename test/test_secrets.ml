@@ -313,6 +313,108 @@ let test_vsr_repeated_handoffs () =
   let subset = match !shares with a :: b :: c :: d :: _ -> [ a; b; c; d ] | _ -> assert false in
   checkb "secret survives four hand-offs" true (Rq.equal secret (Shamir.reconstruct_rq basis subset))
 
+(* The dealer-by-dealer sharing and redistribution that
+   Shamir.share_weighted_rq folds into one polynomial, kept as the
+   reference the folded loop must match bit for bit: every dealer
+   evaluates its own polynomial at every new member by Horner, and the
+   sub-shares are accumulated with their Lagrange weights. *)
+let reference_share_rq rng ~threshold ~parties v =
+  let basis = Rq.basis_of v in
+  let primes = Rns.primes basis in
+  let n = Rns.degree basis in
+  Rq.force_eval v;
+  let rows = Rq.residues v in
+  let outs = Array.init parties (fun _ -> Array.map (fun _ -> Array.make n 0) primes) in
+  let coeffs = Array.make (threshold + 1) 0 in
+  Array.iteri
+    (fun pi p ->
+      for c = 0 to n - 1 do
+        coeffs.(0) <- rows.(pi).(c);
+        for k = 1 to threshold do
+          coeffs.(k) <- Rng.int rng p
+        done;
+        for j = 0 to parties - 1 do
+          outs.(j).(pi).(c) <- Shamir.eval_poly ~p coeffs (j + 1)
+        done
+      done)
+    primes;
+  Array.mapi (fun j rows -> { Shamir.idx = j + 1; value = Rq.of_residues ~repr:Rq.Eval basis rows }) outs
+
+let reference_redistribute_rq rng ~new_threshold ~new_parties old_shares =
+  let basis = Rq.basis_of (List.hd old_shares).Shamir.value in
+  let xs = Array.of_list (List.map (fun s -> s.Shamir.idx) old_shares) in
+  let lambdas = Shamir.lambda_rows basis xs in
+  let primes = Rns.primes basis in
+  let n = Rns.degree basis in
+  let acc = Array.init new_parties (fun _ -> Array.map (fun _ -> Array.make n 0) primes) in
+  List.iteri
+    (fun i old ->
+      let subs = reference_share_rq rng ~threshold:new_threshold ~parties:new_parties old.Shamir.value in
+      Array.iteri
+        (fun j sub ->
+          let rows = Rq.residues sub.Shamir.value in
+          Array.iteri
+            (fun pi p ->
+              for c = 0 to n - 1 do
+                acc.(j).(pi).(c) <- Modarith.add p acc.(j).(pi).(c) (Modarith.mul p lambdas.(pi).(i) rows.(pi).(c))
+              done)
+            primes)
+        subs)
+    old_shares;
+  Array.mapi (fun j rows -> { Shamir.idx = j + 1; value = Rq.of_residues ~repr:Rq.Eval basis rows }) acc
+
+(* Same indices, same domain, same rows. *)
+let check_same_shares what expected got =
+  checki (what ^ ": share count") (Array.length expected) (Array.length got);
+  Array.iteri
+    (fun j (e : Shamir.rq_share) ->
+      let g = got.(j) in
+      checki (what ^ ": index") e.Shamir.idx g.Shamir.idx;
+      checkb (what ^ ": Eval-resident") true (Rq.repr_of g.Shamir.value = Rq.Eval);
+      checkb
+        (Printf.sprintf "%s: share %d bit-identical" what e.Shamir.idx)
+        true
+        (Rq.residues e.Shamir.value = Rq.residues g.Shamir.value))
+    expected
+
+let test_shamir_rq_matches_reference () =
+  let basis = Lazy.force small_basis in
+  List.iter
+    (fun (threshold, parties) ->
+      let rng = Rng.create (Int64.of_int (1000 + parties)) in
+      let v = Rq.random_uniform basis rng in
+      let ref_rng = Rng.copy rng in
+      let what = Printf.sprintf "share_rq t=%d n=%d" threshold parties in
+      check_same_shares what
+        (reference_share_rq ref_rng ~threshold ~parties v)
+        (Shamir.share_rq rng ~threshold ~parties v);
+      checkb (what ^ ": stream position") true (Rng.int64 ref_rng = Rng.int64 rng))
+    [ (0, 1); (1, 3); (4, 10); (7, 15) ]
+
+let test_vsr_rq_matches_reference () =
+  let basis = Lazy.force small_basis in
+  List.iter
+    (fun (t, parties) ->
+      let what = Printf.sprintf "redistribute_rq t=%d n=%d" t parties in
+      let rng = Rng.create (Int64.of_int (2000 + parties)) in
+      let secret = Rq.random_uniform basis rng in
+      (* Non-contiguous dealers x = 3, 5, ..., 2t+3 of a bigger old
+         committee. *)
+      let old_shares = Shamir.share_rq rng ~threshold:t ~parties:((2 * t) + 3) secret in
+      let dealers = List.init (t + 1) (fun k -> old_shares.((2 * k) + 2)) in
+      let ref_rng = Rng.copy rng in
+      let expected = reference_redistribute_rq ref_rng ~new_threshold:t ~new_parties:parties dealers in
+      let got = Vsr.redistribute_rq rng ~new_threshold:t ~new_parties:parties dealers in
+      check_same_shares what expected got;
+      checkb (what ^ ": stream position") true (Rng.int64 ref_rng = Rng.int64 rng);
+      for _ = 1 to 5 do
+        let idx = Rng.sample_without_replacement rng (t + 1) parties in
+        let subset = List.map (fun i -> got.(i)) (Array.to_list idx) in
+        checkb (what ^ ": any t+1 new shares reconstruct") true
+          (Rq.equal secret (Shamir.reconstruct_rq basis subset))
+      done)
+    [ (1, 3); (4, 10); (7, 15) ]
+
 let test_vsr_batch_weights_deterministic () =
   let basis = Lazy.force small_basis in
   let w1 = Vsr.batch_weights basis ~context:(Bytes.of_string "round-7") in
@@ -490,6 +592,8 @@ let () =
           Alcotest.test_case "any t+1 ring subset (seeded sweep)" `Quick
             test_shamir_rq_any_subset_reconstructs;
           Alcotest.test_case "ring share hides secret" `Quick test_shamir_rq_share_not_secret;
+          Alcotest.test_case "ring sharing = dealer-by-dealer reference" `Quick
+            test_shamir_rq_matches_reference;
         ] );
       ( "feldman",
         [
@@ -508,6 +612,8 @@ let () =
           Alcotest.test_case "committees cannot mix shares" `Quick test_vsr_old_and_new_cannot_mix;
           Alcotest.test_case "ring redistribution" `Quick test_vsr_rq_redistribution;
           Alcotest.test_case "repeated hand-offs" `Quick test_vsr_repeated_handoffs;
+          Alcotest.test_case "folded redistribution = reference" `Quick
+            test_vsr_rq_matches_reference;
           Alcotest.test_case "batch weights deterministic" `Quick test_vsr_batch_weights_deterministic;
           Alcotest.test_case "fold commutes with reconstruction" `Quick test_vsr_fold_commutes_with_reconstruction;
         ] );

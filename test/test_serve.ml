@@ -201,6 +201,20 @@ let test_unbudgeted_rejected () =
   | Serve.Rejected r, _ ->
     Alcotest.failf "override rejected: %s" (Serve.rejection_to_string r)
 
+(* A neighborhood too large to size is an invalid query at admission,
+   not an exception out of the serving loop. *)
+let test_huge_neighborhood_rejected () =
+  let srv = Serve.create (serve_runtime ~faults:false ()) in
+  let req =
+    { Serve.user = "alice"; epsilon = 0.3;
+      sql = "SELECT HISTO(COUNT(*)) FROM neigh(42) WHERE self.inf = 1"; name = None }
+  in
+  (match Serve.submit srv ~arrival:0.0 req with
+  | Serve.Rejected (Serve.Invalid _), [] -> ()
+  | Serve.Rejected r, _ -> Alcotest.failf "wrong rejection: %s" (Serve.rejection_to_string r)
+  | Serve.Queued _, _ -> Alcotest.fail "neigh(42) admitted");
+  checki "nothing pending" 0 (Serve.pending_count srv)
+
 let test_user_budget_gates_admission () =
   let rt = serve_runtime ~faults:false () in
   let config = { Serve.default_config with Serve.per_user_budget = 0.5; batch_size = 32 } in
@@ -411,6 +425,8 @@ let () =
             test_unbudgeted_rejected;
           Alcotest.test_case "per-user budget gates admission" `Quick
             test_user_budget_gates_admission;
+          Alcotest.test_case "neigh(42) rejected as invalid" `Quick
+            test_huge_neighborhood_rejected;
         ] );
       ( "cache",
         [
