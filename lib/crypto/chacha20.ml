@@ -5,29 +5,23 @@ let mask = 0xFFFFFFFF
 
 let rotl x n = ((x lsl n) lor (x lsr (32 - n))) land mask
 
-let quarter_round st a b c d =
-  st.(a) <- (st.(a) + st.(b)) land mask;
-  st.(d) <- rotl (st.(d) lxor st.(a)) 16;
-  st.(c) <- (st.(c) + st.(d)) land mask;
-  st.(b) <- rotl (st.(b) lxor st.(c)) 12;
-  st.(a) <- (st.(a) + st.(b)) land mask;
-  st.(d) <- rotl (st.(d) lxor st.(a)) 8;
-  st.(c) <- (st.(c) + st.(d)) land mask;
-  st.(b) <- rotl (st.(b) lxor st.(c)) 7
+(* Inlined so the indices are constants; every call site passes indices
+   below 16 into a 16-word array, so the accesses need no bounds check. *)
+let[@inline] quarter_round x a b c d =
+  Array.unsafe_set x a ((Array.unsafe_get x a + Array.unsafe_get x b) land mask);
+  Array.unsafe_set x d (rotl (Array.unsafe_get x d lxor Array.unsafe_get x a) 16);
+  Array.unsafe_set x c ((Array.unsafe_get x c + Array.unsafe_get x d) land mask);
+  Array.unsafe_set x b (rotl (Array.unsafe_get x b lxor Array.unsafe_get x c) 12);
+  Array.unsafe_set x a ((Array.unsafe_get x a + Array.unsafe_get x b) land mask);
+  Array.unsafe_set x d (rotl (Array.unsafe_get x d lxor Array.unsafe_get x a) 8);
+  Array.unsafe_set x c ((Array.unsafe_get x c + Array.unsafe_get x d) land mask);
+  Array.unsafe_set x b (rotl (Array.unsafe_get x b lxor Array.unsafe_get x c) 7)
 
-let le32 b off =
-  Bytes.get_uint8 b off
-  lor (Bytes.get_uint8 b (off + 1) lsl 8)
-  lor (Bytes.get_uint8 b (off + 2) lsl 16)
-  lor (Bytes.get_uint8 b (off + 3) lsl 24)
+let le32 b off = Int32.to_int (Bytes.get_int32_le b off) land mask
 
-let store_le32 b off v =
-  Bytes.set_uint8 b off (v land 0xFF);
-  Bytes.set_uint8 b (off + 1) ((v lsr 8) land 0xFF);
-  Bytes.set_uint8 b (off + 2) ((v lsr 16) land 0xFF);
-  Bytes.set_uint8 b (off + 3) ((v lsr 24) land 0xFF)
-
-let init_state ~key ~nonce ~counter =
+(* Constants, key and nonce words; word 12, the block counter, is set
+   per block. *)
+let init_state ~key ~nonce =
   if Bytes.length key <> key_size then invalid_arg "Chacha20: bad key size";
   if Bytes.length nonce <> nonce_size then invalid_arg "Chacha20: bad nonce size";
   let st = Array.make 16 0 in
@@ -39,30 +33,34 @@ let init_state ~key ~nonce ~counter =
   for i = 0 to 7 do
     st.(4 + i) <- le32 key (4 * i)
   done;
-  st.(12) <- counter land mask;
   for i = 0 to 2 do
     st.(13 + i) <- le32 nonce (4 * i)
   done;
   st
 
-let block ~key ~nonce ~counter =
-  let st = init_state ~key ~nonce ~counter in
-  let work = Array.copy st in
+(* [x] <- the keystream words of block [st]: 20 rounds plus the
+   feed-forward of [st]. *)
+let keystream st x =
+  Array.blit st 0 x 0 16;
   for _ = 1 to 10 do
-    quarter_round work 0 4 8 12;
-    quarter_round work 1 5 9 13;
-    quarter_round work 2 6 10 14;
-    quarter_round work 3 7 11 15;
-    quarter_round work 0 5 10 15;
-    quarter_round work 1 6 11 12;
-    quarter_round work 2 7 8 13;
-    quarter_round work 3 4 9 14
+    quarter_round x 0 4 8 12;
+    quarter_round x 1 5 9 13;
+    quarter_round x 2 6 10 14;
+    quarter_round x 3 7 11 15;
+    quarter_round x 0 5 10 15;
+    quarter_round x 1 6 11 12;
+    quarter_round x 2 7 8 13;
+    quarter_round x 3 4 9 14
   done;
-  let out = Bytes.create 64 in
   for i = 0 to 15 do
-    store_le32 out (4 * i) ((work.(i) + st.(i)) land mask)
-  done;
-  out
+    x.(i) <- (x.(i) + st.(i)) land mask
+  done
+
+(* RFC 8439 §2.4: the 32-bit block counter must not wrap, or the stream
+   would reuse keystream (in the AEAD, block 0's one-time MAC key). *)
+let check_counter counter nblocks =
+  if counter < 0 || counter > mask - (max 1 nblocks - 1) then
+    invalid_arg "Chacha20: block counter out of range"
 
 let xor_into ~key ~nonce ?(counter = 1) ~src ~src_pos ~dst ~dst_pos len =
   if
@@ -71,15 +69,26 @@ let xor_into ~key ~nonce ?(counter = 1) ~src ~src_pos ~dst ~dst_pos len =
     || dst_pos + len > Bytes.length dst
   then invalid_arg "Chacha20.xor_into: range out of bounds";
   let nblocks = (len + 63) / 64 in
+  check_counter counter nblocks;
+  let st = init_state ~key ~nonce and x = Array.make 16 0 in
   for b = 0 to nblocks - 1 do
-    let ks = block ~key ~nonce ~counter:(counter + b) in
+    st.(12) <- counter + b;
+    keystream st x;
     let off = b * 64 in
-    let chunk = min 64 (len - off) in
-    for i = 0 to chunk - 1 do
-      Bytes.set_uint8 dst
-        (dst_pos + off + i)
-        (Bytes.get_uint8 src (src_pos + off + i) lxor Bytes.get_uint8 ks i)
-    done
+    let sp = src_pos + off and dp = dst_pos + off in
+    (* Each word (byte, in the tail) is read before it is written, so
+       [src] and [dst] may alias at the same offset. *)
+    if len - off >= 64 then
+      for i = 0 to 15 do
+        Bytes.set_int32_le dst
+          (dp + (4 * i))
+          (Int32.logxor (Bytes.get_int32_le src (sp + (4 * i))) (Int32.of_int x.(i)))
+      done
+    else
+      for i = 0 to len - off - 1 do
+        let ks = (x.(i lsr 2) lsr (8 * (i land 3))) land 0xFF in
+        Bytes.set_uint8 dst (dp + i) (Bytes.get_uint8 src (sp + i) lxor ks)
+      done
   done
 
 let encrypt ~key ~nonce ?(counter = 1) data =
@@ -87,6 +96,9 @@ let encrypt ~key ~nonce ?(counter = 1) data =
   let out = Bytes.create len in
   xor_into ~key ~nonce ~counter ~src:data ~src_pos:0 ~dst:out ~dst_pos:0 len;
   out
+
+(* The keystream itself: one block XORed onto zeros. *)
+let block ~key ~nonce ~counter = encrypt ~key ~nonce ~counter (Bytes.make 64 '\x00')
 
 let nonce_of_round round =
   let b = Bytes.make nonce_size '\x00' in

@@ -14,7 +14,10 @@ val block : key:bytes -> nonce:bytes -> counter:int -> bytes
 
 val encrypt : key:bytes -> nonce:bytes -> ?counter:int -> bytes -> bytes
 (** XOR with the keystream starting at block [counter] (default 1, as
-    in RFC 8439 AEAD). Decryption is the same operation. *)
+    in RFC 8439 AEAD). Decryption is the same operation. Raises
+    [Invalid_argument] if [counter] is negative or the last block's
+    counter would exceed 2^32 - 1: the 32-bit counter never wraps
+    (RFC 8439 §2.4), so no keystream block is reused. *)
 
 val xor_into :
   key:bytes ->
@@ -30,7 +33,7 @@ val xor_into :
     allocation-free form of {!encrypt} over a byte range. [src] and
     [dst] may be the same buffer at the same offset (each byte is read
     before it is written), which is how the mixnet peels onion layers
-    inside its arena. *)
+    inside its arena. Same counter rule as {!encrypt}. *)
 
 val nonce_of_round : int -> bytes
 (** Mycelium does not transmit nonces: both endpoints derive them from

@@ -360,9 +360,10 @@ end
 (* The switches                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* lint: allow determinism — wall-clock feeds span timestamps only; trace
-   content is diagnostic and never enters query results *)
-let now () = Unix.gettimeofday ()
+(* lint: allow determinism — the monotonic clock (ns) feeds span
+   timestamps only; trace content is diagnostic and never enters query
+   results *)
+let now () = Int64.to_int (Monotonic_clock.now ())
 
 let env_truthy var =
   match Sys.getenv_opt var with
@@ -390,8 +391,8 @@ let enabled () = Atomic.get enabled_flag
    (or process start, for MYCELIUM_TRACE). *)
 let epoch = Atomic.make (now ())
 
-let now_s () = now () -. Atomic.get epoch
-let elapsed_ns () = int_of_float (now_s () *. 1e9)
+let elapsed_ns () = now () - Atomic.get epoch
+let now_s () = float_of_int (elapsed_ns ()) *. 1e-9
 
 let enable () =
   if not (Atomic.get enabled_flag) then begin
@@ -709,7 +710,7 @@ let record_enter name attrs =
       sp_dom = b.dom_id;
       sp_depth = b.depth;
       sp_seq = b.seq;
-      sp_start = now () -. Atomic.get epoch;
+      sp_start = now_s ();
       sp_end = Float.nan;
     }
   in
@@ -720,13 +721,13 @@ let record_enter name attrs =
 
 let record_exit (b, sp) =
   b.depth <- b.depth - 1;
-  sp.sp_end <- now () -. Atomic.get epoch
+  sp.sp_end <- now_s ()
 
 let span_slow attrs name f =
   let tracing = Atomic.get enabled_flag in
   let recording = Recorder.recording () in
   if recording then Recorder.note ~detail:[ ("name", Json.Str name) ] "span.open";
-  let t0 = if recording then now () else 0. in
+  let t0 = if recording then now () else 0 in
   let open_sp = if tracing then Some (record_enter name attrs) else None in
   Fun.protect
     ~finally:(fun () ->
@@ -734,7 +735,7 @@ let span_slow attrs name f =
       if recording then
         Recorder.note
           ~detail:
-            [ ("name", Json.Str name); ("ms", Json.Num ((now () -. t0) *. 1e3)) ]
+            [ ("name", Json.Str name); ("ms", Json.Num (float_of_int (now () - t0) *. 1e-6)) ]
           "span.close")
     f
 

@@ -88,7 +88,7 @@ val reset : unit -> unit
     while no instrumented parallel work is in flight. *)
 
 val now_s : unit -> float
-(** Seconds since the trace epoch (wall clock; diagnostic only — never
+(** Seconds since the trace epoch (monotonic clock; diagnostic only — never
     feed this into results). *)
 
 (** {1 Metric-name registry} *)

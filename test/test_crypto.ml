@@ -165,6 +165,250 @@ let prop_aead_roundtrip =
       | Some pt -> Bytes.to_string pt = msg
       | None -> false)
 
+(* Reference kernels: the original Bigint Poly1305 and per-block
+   ChaCha20, kept as oracles for the native-int implementations. *)
+
+module Ref = struct
+  module Bigint = Mycelium_math.Bigint
+
+  let p = Bigint.sub (Bigint.shift_left Bigint.one 130) (Bigint.of_int 5)
+  let two_128 = Bigint.shift_left Bigint.one 128
+
+  let le_number b off len =
+    let acc = ref Bigint.zero in
+    for i = len - 1 downto 0 do
+      acc := Bigint.add_int (Bigint.shift_left !acc 8) (Bytes.get_uint8 b (off + i))
+    done;
+    !acc
+
+  let clamp_r key =
+    let r = Bytes.sub key 0 16 in
+    List.iter (fun i -> Bytes.set_uint8 r i (Bytes.get_uint8 r i land 15)) [ 3; 7; 11; 15 ];
+    List.iter (fun i -> Bytes.set_uint8 r i (Bytes.get_uint8 r i land 252)) [ 4; 8; 12 ];
+    r
+
+  let mac ~key msg =
+    let r = le_number (clamp_r key) 0 16 and s = le_number key 16 16 in
+    let len = Bytes.length msg in
+    let acc = ref Bigint.zero and off = ref 0 in
+    while !off < len do
+      let chunk = min 16 (len - !off) in
+      let n = Bigint.add (le_number msg !off chunk) (Bigint.shift_left Bigint.one (8 * chunk)) in
+      acc := Bigint.erem (Bigint.mul (Bigint.add !acc n) r) p;
+      off := !off + 16
+    done;
+    let be = Bigint.to_bytes_be (Bigint.erem (Bigint.add !acc s) two_128) in
+    let nb = Bytes.length be in
+    Bytes.init 16 (fun i -> if i < nb then Bytes.get be (nb - 1 - i) else '\x00')
+
+  let mask = 0xFFFFFFFF
+  let rotl x n = ((x lsl n) lor (x lsr (32 - n))) land mask
+
+  let quarter_round st a b c d =
+    st.(a) <- (st.(a) + st.(b)) land mask;
+    st.(d) <- rotl (st.(d) lxor st.(a)) 16;
+    st.(c) <- (st.(c) + st.(d)) land mask;
+    st.(b) <- rotl (st.(b) lxor st.(c)) 12;
+    st.(a) <- (st.(a) + st.(b)) land mask;
+    st.(d) <- rotl (st.(d) lxor st.(a)) 8;
+    st.(c) <- (st.(c) + st.(d)) land mask;
+    st.(b) <- rotl (st.(b) lxor st.(c)) 7
+
+  let le32 b off =
+    Bytes.get_uint8 b off
+    lor (Bytes.get_uint8 b (off + 1) lsl 8)
+    lor (Bytes.get_uint8 b (off + 2) lsl 16)
+    lor (Bytes.get_uint8 b (off + 3) lsl 24)
+
+  let block ~key ~nonce ~counter =
+    let st = Array.make 16 0 in
+    st.(0) <- 0x61707865;
+    st.(1) <- 0x3320646e;
+    st.(2) <- 0x79622d32;
+    st.(3) <- 0x6b206574;
+    for i = 0 to 7 do
+      st.(4 + i) <- le32 key (4 * i)
+    done;
+    st.(12) <- counter land mask;
+    for i = 0 to 2 do
+      st.(13 + i) <- le32 nonce (4 * i)
+    done;
+    let work = Array.copy st in
+    for _ = 1 to 10 do
+      quarter_round work 0 4 8 12;
+      quarter_round work 1 5 9 13;
+      quarter_round work 2 6 10 14;
+      quarter_round work 3 7 11 15;
+      quarter_round work 0 5 10 15;
+      quarter_round work 1 6 11 12;
+      quarter_round work 2 7 8 13;
+      quarter_round work 3 4 9 14
+    done;
+    let out = Bytes.create 64 in
+    for i = 0 to 15 do
+      let v = (work.(i) + st.(i)) land mask in
+      for j = 0 to 3 do
+        Bytes.set_uint8 out ((4 * i) + j) ((v lsr (8 * j)) land 0xFF)
+      done
+    done;
+    out
+
+  let encrypt ~key ~nonce ?(counter = 1) data =
+    let len = Bytes.length data in
+    let out = Bytes.create len in
+    for b = 0 to ((len + 63) / 64) - 1 do
+      let ks = block ~key ~nonce ~counter:(counter + b) in
+      for i = b * 64 to min len ((b + 1) * 64) - 1 do
+        Bytes.set_uint8 out i (Bytes.get_uint8 data i lxor Bytes.get_uint8 ks (i - (b * 64)))
+      done
+    done;
+    out
+
+  let aead_seal ~key ~nonce ~aad msg =
+    let ct = encrypt ~key ~nonce ~counter:1 msg in
+    let pad n = Bytes.make ((16 - (n mod 16)) mod 16) '\x00' in
+    let lengths = Bytes.create 16 in
+    Bytes.set_int64_le lengths 0 (Int64.of_int (Bytes.length aad));
+    Bytes.set_int64_le lengths 8 (Int64.of_int (Bytes.length ct));
+    let otk = Bytes.sub (block ~key ~nonce ~counter:0) 0 32 in
+    let input =
+      Bytes.concat Bytes.empty
+        [ aad; pad (Bytes.length aad); ct; pad (Bytes.length ct); lengths ]
+    in
+    Bytes.cat ct (mac ~key:otk input)
+end
+
+let ff n = Bytes.make n '\xff'
+
+(* Lengths 0-300, then random lengths up to 9 KB. *)
+let oracle_lengths rng = List.init 301 Fun.id @ List.init 40 (fun _ -> Rng.int rng 9_001)
+
+let test_poly1305_oracle () =
+  let rng = Rng.create 13L in
+  List.iter
+    (fun len ->
+      let key = Rng.bytes rng 32 and msg = Rng.bytes rng len in
+      let name = Printf.sprintf "random key, %d bytes" len in
+      checkb name true (Bytes.equal (Ref.mac ~key msg) (Poly1305.mac ~key msg));
+      let name = Printf.sprintf "0xff key and message, %d bytes" len in
+      checkb name true (Bytes.equal (Ref.mac ~key:(ff 32) (ff len)) (Poly1305.mac ~key:(ff 32) (ff len))))
+    (oracle_lengths rng)
+
+let test_poly1305_known_answers () =
+  (* The accumulator lands in [2^130 - 5, 2^130) before the final
+     reduction, exercising the freeze. *)
+  let key = Bytes.cat (Hex.decode "01") (Bytes.make 31 '\x00') in
+  let block = Bytes.cat (Hex.decode "fe") (ff 15) in
+  let msg = Bytes.cat block block in
+  check_hex "reference, accumulator at p" "01000000000000000000000000000000" (Ref.mac ~key msg);
+  check_hex "accumulator at p" "01000000000000000000000000000000" (Poly1305.mac ~key msg);
+  check_hex "reference, all 0xff" "900fe32bc15fa8d7bca8efe4c7e37eb1" (Ref.mac ~key:(ff 32) (ff 64));
+  check_hex "all 0xff" "900fe32bc15fa8d7bca8efe4c7e37eb1" (Poly1305.mac ~key:(ff 32) (ff 64))
+
+let test_poly1305_streaming () =
+  let rng = Rng.create 14L in
+  let key = Rng.bytes rng 32 and msg = Rng.bytes rng 100 in
+  let oneshot = Poly1305.mac ~key msg in
+  let tag_of absorbs =
+    let st = Poly1305.init ~key in
+    List.iter (fun (pos, len) -> Poly1305.absorb st msg ~pos ~len) absorbs;
+    let tag = Bytes.create 16 in
+    Poly1305.finish st ~dst:tag ~dst_pos:0;
+    tag
+  in
+  for split = 0 to 100 do
+    checkb (Printf.sprintf "split at %d" split) true
+      (Bytes.equal oneshot (tag_of [ (0, split); (split, 100 - split) ]));
+    let third = (100 - split) / 2 in
+    checkb (Printf.sprintf "three pieces from %d" split) true
+      (Bytes.equal oneshot
+         (tag_of [ (0, split); (split, third); (split + third, 100 - split - third) ]))
+  done;
+  let st = Poly1305.init ~key in
+  Poly1305.absorb st msg ~pos:0 ~len:100;
+  checkb "check accepts the tag in place" true
+    (Poly1305.check st ~tag:(Bytes.cat (Bytes.create 3) oneshot) ~tag_pos:3)
+
+let test_chacha20_oracle () =
+  let rng = Rng.create 15L in
+  for _ = 1 to 50 do
+    let key = Rng.bytes rng 32 and nonce = Rng.bytes rng 12 in
+    let counter = Rng.int rng 0x1_0000_0000 in
+    checkb "block" true
+      (Bytes.equal (Ref.block ~key ~nonce ~counter) (Chacha20.block ~key ~nonce ~counter))
+  done;
+  List.iter
+    (fun len ->
+      let key = Rng.bytes rng 32 and nonce = Rng.bytes rng 12 and msg = Rng.bytes rng len in
+      let counter = Rng.int rng 2 in
+      checkb (Printf.sprintf "encrypt, %d bytes" len) true
+        (Bytes.equal (Ref.encrypt ~key ~nonce ~counter msg) (Chacha20.encrypt ~key ~nonce ~counter msg));
+      checkb (Printf.sprintf "0xff key, nonce and data, %d bytes" len) true
+        (Bytes.equal
+           (Ref.encrypt ~key:(ff 32) ~nonce:(ff 12) (ff len))
+           (Chacha20.encrypt ~key:(ff 32) ~nonce:(ff 12) (ff len))))
+    (oracle_lengths rng)
+
+let test_chacha20_xor_into_ranges () =
+  let rng = Rng.create 16L in
+  let key = Rng.bytes rng 32 and nonce = Rng.bytes rng 12 in
+  List.iter
+    (fun len ->
+      for src_pos = 0 to 4 do
+        for dst_pos = 0 to 4 do
+          let src = Rng.bytes rng (src_pos + len + 3) in
+          let expected = Ref.encrypt ~key ~nonce (Bytes.sub src src_pos len) in
+          let dst = Rng.bytes rng (dst_pos + len + 2) in
+          let before = Bytes.copy dst in
+          Chacha20.xor_into ~key ~nonce ~src ~src_pos ~dst ~dst_pos len;
+          let name = Printf.sprintf "len %d, src_pos %d, dst_pos %d" len src_pos dst_pos in
+          checkb name true (Bytes.equal expected (Bytes.sub dst dst_pos len));
+          checkb (name ^ ": untouched outside range") true
+            (Bytes.equal (Bytes.sub before 0 dst_pos) (Bytes.sub dst 0 dst_pos)
+            && Bytes.equal
+                 (Bytes.sub before (dst_pos + len) 2)
+                 (Bytes.sub dst (dst_pos + len) 2))
+        done;
+        (* src == dst at the same offset: peeling in place. *)
+        let buf = Rng.bytes rng (src_pos + len) in
+        let expected = Ref.encrypt ~key ~nonce (Bytes.sub buf src_pos len) in
+        Chacha20.xor_into ~key ~nonce ~src:buf ~src_pos ~dst:buf ~dst_pos:src_pos len;
+        checkb (Printf.sprintf "in place, len %d at %d" len src_pos) true
+          (Bytes.equal expected (Bytes.sub buf src_pos len))
+      done)
+    [ 0; 1; 3; 63; 64; 65; 130; 1000 ]
+
+let test_chacha20_counter_range () =
+  let key = Bytes.make 32 '\x01' and nonce = Bytes.make 12 '\x02' in
+  let last = 0xFFFF_FFFF in
+  ignore (Chacha20.block ~key ~nonce ~counter:last);
+  ignore (Chacha20.encrypt ~key ~nonce ~counter:last (Bytes.create 64));
+  let raises name f =
+    Alcotest.check_raises name (Invalid_argument "Chacha20: block counter out of range") (fun () ->
+        ignore (f ()))
+  in
+  raises "second block past the counter wraps" (fun () ->
+      Chacha20.encrypt ~key ~nonce ~counter:last (Bytes.create 65));
+  raises "xor_into across the wrap" (fun () ->
+      let b = Bytes.create 200 in
+      Chacha20.xor_into ~key ~nonce ~counter:(last - 2) ~src:b ~src_pos:0 ~dst:b ~dst_pos:0 200);
+  raises "block past 2^32 - 1" (fun () -> Chacha20.block ~key ~nonce ~counter:(last + 1));
+  raises "negative counter" (fun () -> Chacha20.encrypt ~key ~nonce ~counter:(-1) Bytes.empty)
+
+let test_aead_oracle () =
+  let rng = Rng.create 17L in
+  List.iter
+    (fun len ->
+      let key = Rng.bytes rng 32 and nonce = Rng.bytes rng 12 in
+      let aad = Rng.bytes rng (Rng.int rng 40) and msg = Rng.bytes rng len in
+      let sealed = Aead.seal_nonce ~key ~nonce ~aad msg in
+      checkb (Printf.sprintf "seal, %d bytes" len) true
+        (Bytes.equal (Ref.aead_seal ~key ~nonce ~aad msg) sealed);
+      match Aead.open_nonce ~key ~nonce ~aad sealed with
+      | Some pt -> checkb (Printf.sprintf "open, %d bytes" len) true (Bytes.equal pt msg)
+      | None -> Alcotest.fail "open rejected a sealed message")
+    (List.init 70 Fun.id @ [ 255; 256; 257; 4096; 8300 ])
+
 (* ------------------------------------------------------------------ *)
 (* Merkle                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -314,6 +558,13 @@ let () =
           Alcotest.test_case "AEAD RFC 8439" `Quick test_aead_rfc8439;
           Alcotest.test_case "AEAD tamper detection" `Quick test_aead_tamper_detection;
           prop_aead_roundtrip;
+          Alcotest.test_case "poly1305 = Bigint reference" `Quick test_poly1305_oracle;
+          Alcotest.test_case "poly1305 known answers" `Quick test_poly1305_known_answers;
+          Alcotest.test_case "poly1305 streaming" `Quick test_poly1305_streaming;
+          Alcotest.test_case "chacha20 = per-block reference" `Quick test_chacha20_oracle;
+          Alcotest.test_case "chacha20 xor_into ranges" `Quick test_chacha20_xor_into_ranges;
+          Alcotest.test_case "chacha20 counter range" `Quick test_chacha20_counter_range;
+          Alcotest.test_case "AEAD = reference" `Quick test_aead_oracle;
         ] );
       ( "merkle",
         [

@@ -501,6 +501,14 @@ let test_exported_trace () =
   Obs.disable ();
   Obs.reset ();
   let (_ : Runtime.query_result) = run_q ~trace:true () in
+  (* Span stamps come from the monotonic clock, relative to the epoch
+     that enabling tracing set. *)
+  List.iter
+    (fun (sp : Obs.span) ->
+      checkb ("span starts after the epoch: " ^ sp.Obs.sp_name) true (sp.Obs.sp_start >= 0.);
+      checkb ("span ends after it starts: " ^ sp.Obs.sp_name) true
+        (sp.Obs.sp_end >= sp.Obs.sp_start))
+    (Obs.all_spans ());
   let s = Obs.chrome_trace_string () in
   Obs.disable ();
   match Json.parse s with
