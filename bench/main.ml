@@ -81,9 +81,9 @@ let json_sections : (string * Json.t) list ref = ref []
    key/values merged into the section's JSON record. *)
 let section id f =
   if wants id then begin
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.now_s () in
     let extras = f () in
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = Obs.now_s () -. t0 in
     json_sections := (id, Obj (("seconds", Num dt) :: extras)) :: !json_sections
   end
 
@@ -94,11 +94,11 @@ let section id f =
 let () =
   say "Mycelium evaluation reproduction (SOSP 2021, Roth et al.)\n";
   say "==========================================================\n";
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.now_s () in
   List.iter emit (Figures.all ());
   if only = None then
     json_sections :=
-      ("figures", Obj [ ("seconds", Num (Unix.gettimeofday () -. t0)) ]) :: !json_sections
+      ("figures", Obj [ ("seconds", Num (Obs.now_s () -. t0)) ]) :: !json_sections
 
 (* ------------------------------------------------------------------ *)
 (* Measurement-backed figures                                          *)
@@ -140,9 +140,9 @@ let bench_config faults =
 
 let time_query faults =
   let sys = Runtime.init (bench_config faults) (bench_graph 4242L) in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.now_s () in
   match Runtime.run_query sys (Mycelium_query.Corpus.find "Q5").Mycelium_query.Corpus.sql with
-  | Ok r -> (Unix.gettimeofday () -. t0, r)
+  | Ok r -> (Obs.now_s () -. t0, r)
   | Error _ -> failwith "bench: query failed"
 
 (* ------------------------------------------------------------------ *)
@@ -278,11 +278,11 @@ let () =
       let branch_ns =
         let n = 10_000_000 in
         let acc = ref 0 in
-        let t0 = Unix.gettimeofday () in
+        let t0 = Obs.now_s () in
         for _ = 1 to n do
           if Obs.enabled () then incr acc
         done;
-        let dt = Unix.gettimeofday () -. t0 in
+        let dt = Obs.now_s () -. t0 in
         ignore (Sys.opaque_identity !acc);
         dt *. 1e9 /. float_of_int n
       in
@@ -358,11 +358,11 @@ let () =
          slot write) at a realistic detail size, ring wrapping freely. *)
       Obs.Recorder.enable ~capacity:4096 ();
       let n_events = 200_000 in
-      let t0 = Unix.gettimeofday () in
+      let t0 = Obs.now_s () in
       for i = 1 to n_events do
         Obs.Recorder.note ~detail:[ ("round", Int i); ("source", Int 7) ] "bench.event"
       done;
-      let rec_s = Unix.gettimeofday () -. t0 in
+      let rec_s = Obs.now_s () -. t0 in
       let events_per_s = float_of_int n_events /. rec_s in
       Obs.Recorder.disable ();
       Obs.Recorder.clear ();
@@ -391,11 +391,11 @@ let () =
             ("budget_spent", Num (0.5 *. float_of_int i));
           ]
       in
-      let t0 = Unix.gettimeofday () in
+      let t0 = Obs.now_s () in
       for i = 1 to n_rec do
         Obs.Ledger.append l (record i)
       done;
-      let led_s = Unix.gettimeofday () -. t0 in
+      let led_s = Obs.now_s () -. t0 in
       Obs.Ledger.close l;
       Sys.remove path;
       let append_us = led_s *. 1e6 /. float_of_int n_rec in
@@ -479,7 +479,7 @@ let () =
             })
       in
       let pass srv =
-        let t0 = Unix.gettimeofday () in
+        let t0 = Obs.now_s () in
         let responses = ref [] in
         List.iter
           (fun req ->
@@ -489,7 +489,7 @@ let () =
               failwith ("bench serving: rejected: " ^ Serve.rejection_to_string r))
           requests;
         let responses = List.rev_append (Serve.drain srv) !responses in
-        let dt = Unix.gettimeofday () -. t0 in
+        let dt = Obs.now_s () -. t0 in
         let released =
           List.map
             (fun r ->
@@ -661,11 +661,11 @@ let () =
       let ns_per_op ?(reps = 5) ~inner f =
         let best = ref infinity in
         for _ = 1 to reps do
-          let t0 = Unix.gettimeofday () in
+          let t0 = Obs.now_s () in
           for _ = 1 to inner do
             f ()
           done;
-          let dt = Unix.gettimeofday () -. t0 in
+          let dt = Obs.now_s () -. t0 in
           if dt < !best then best := dt
         done;
         !best *. 1e9 /. float_of_int inner
@@ -792,9 +792,9 @@ let () =
       say "  --- paper profile: N=32768, %d-bit q, t=2^30 ---\n"
         (Params.modulus_bits Params.paper);
       let once label f =
-        let t0 = Unix.gettimeofday () in
+        let t0 = Obs.now_s () in
         let r = f () in
-        let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+        let ms = (Obs.now_s () -. t0) *. 1e3 in
         say "  %-22s %10.1f ms\n" label ms;
         ((label ^ "_ms", Num ms), r)
       in
@@ -876,17 +876,17 @@ let () =
           }
         in
         let t = Sim.create cfg in
-        let t0 = Unix.gettimeofday () in
+        let t0 = Obs.now_s () in
         let (_ : Sim.setup_stats) = Sim.setup_paths t in
-        let setup_s = Unix.gettimeofday () -. t0 in
+        let setup_s = Obs.now_s () -. t0 in
         let round_s = ref 0. in
         let sent = ref 0 and delivered = ref 0 and identified = ref 0 in
         let dep_bytes = ref 0 in
         let anon_sum = ref 0. and anon_n = ref 0 in
         for _ = 1 to qrounds do
-          let t0 = Unix.gettimeofday () in
+          let t0 = Obs.now_s () in
           let r = Sim.run_query_round t ~payload in
-          let dt = Unix.gettimeofday () -. t0 in
+          let dt = Obs.now_s () -. t0 in
           round_s := !round_s +. dt;
           Obs.Metrics.observe h_round dt;
           sent := !sent + r.Sim.messages_sent;
@@ -1014,9 +1014,9 @@ let () =
               let roots =
                 List.filter Sys.file_exists [ "lib"; "bin"; "bench"; "test" ]
               in
-              let t0 = Unix.gettimeofday () in
+              let t0 = Obs.now_s () in
               let report = Lint.run ~roots () in
-              (report, Unix.gettimeofday () -. t0))
+              (report, Obs.now_s () -. t0))
         in
         let files = report.Lint.files in
         lint_violations := [ ("lint", List.length report.Lint.violations) ];
@@ -1059,13 +1059,13 @@ let () =
             ~finally:(fun () -> if Sys.file_exists cache then Sys.remove cache)
             (fun () ->
               let timed () =
-                let t0 = Unix.gettimeofday () in
+                let t0 = Obs.now_s () in
                 (* Sources (and their suppression comments) are read
                    from the root the analyze CLI resolves, not from the
                    working directory — under @slow that is the test
                    directory inside the build tree. *)
                 let res = A.run ~cache ~source_root:root ~roots:aroots () in
-                (res, (Unix.gettimeofday () -. t0) *. 1e3)
+                (res, (Obs.now_s () -. t0) *. 1e3)
               in
               let cold, cold_ms = timed () in
               let warms = List.init 3 (fun _ -> timed ()) in
@@ -1189,13 +1189,13 @@ let run_micro () =
 
 let () =
   if (not skip_micro) && only = None then begin
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.now_s () in
     let estimates = run_micro () in
     json_sections :=
       ( "micro",
         Obj
           [
-            ("seconds", Num (Unix.gettimeofday () -. t0));
+            ("seconds", Num (Obs.now_s () -. t0));
             ("estimates_ns", Obj estimates);
           ] )
       :: !json_sections

@@ -419,36 +419,42 @@ let noise_budget ctx sk ct =
 
 let ciphertext_bytes ctx ct = Params.ciphertext_bytes ctx.p ~degree:(degree ct)
 
+(* Wire layout, all 4-byte little-endian: the component count, then per
+   component a representation tag (0 Coeff, 1 Eval) and a row count,
+   then per row its length and residues.  Rows go out in whatever domain
+   the component is resident in, so the wire format costs no transform
+   in either direction; the pipeline computes representations
+   deterministically, so serialized bytes (and hence hashes and
+   transcript-proof comparisons) are deterministic too. *)
 let serialize ct =
-  let buf = Buffer.create 4096 in
-  let add_i32 v =
-    let b = Bytes.create 4 in
-    Bytes.set_int32_le b 0 (Int32.of_int v);
-    Buffer.add_bytes buf b
+  let size =
+    Array.fold_left
+      (fun acc comp ->
+        Array.fold_left (fun acc row -> acc + 4 + (4 * Array.length row)) (acc + 8) (Rq.residues comp))
+      4 ct.comps
   in
-  add_i32 (Array.length ct.comps);
+  let out = Bytes.create size in
+  let put pos v = Bytes.set_int32_le out pos (Int32.of_int v) in
+  put 0 (Array.length ct.comps);
+  let pos = ref 4 in
   Array.iter
     (fun comp ->
-      (* Serialize rows in whatever domain the component is resident
-         in, tagged, so the wire format costs no transform in either
-         direction.  The pipeline computes representations
-         deterministically, so serialized bytes (and hence hashes and
-         transcript-proof comparisons) are deterministic too. *)
       let rows = Rq.residues comp in
-      add_i32 (match Rq.repr_of comp with Rq.Coeff -> 0 | Rq.Eval -> 1);
-      add_i32 (Array.length rows);
+      put !pos (match Rq.repr_of comp with Rq.Coeff -> 0 | Rq.Eval -> 1);
+      put (!pos + 4) (Array.length rows);
+      pos := !pos + 8;
       Array.iter
         (fun row ->
-          add_i32 (Array.length row);
-          Array.iter
-            (fun v ->
-              let b = Bytes.create 4 in
-              Bytes.set_int32_le b 0 (Int32.of_int v);
-              Buffer.add_bytes buf b)
-            row)
+          let n = Array.length row in
+          put !pos n;
+          let base = !pos + 4 in
+          for i = 0 to n - 1 do
+            Bytes.set_int32_le out (base + (4 * i)) (Int32.of_int (Array.unsafe_get row i))
+          done;
+          pos := base + (4 * n))
         rows)
     ct.comps;
-  Buffer.to_bytes buf
+  out
 
 let deserialize ctx data =
   let pos = ref 0 in

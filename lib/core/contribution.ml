@@ -115,26 +115,23 @@ let synthetic_dest field v : Schema.vertex_data =
 (* Building                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The device draws one seed and the prover encrypts under it. *)
+let encrypt_proven srs ctx rng pk plaintext =
+  let seed = Rng.int64 rng in
+  match Zkp.encrypt_contribution srs ctx pk ~plaintext ~seed with
+  | Some pair -> pair
+  | None -> assert false (* honest monomials and zero are always admissible *)
+
 let encrypt_with_proof srs ctx rng pk exponent =
   let p = Bgv.params ctx in
-  let pt =
-    Plaintext.monomial ~plain_modulus:p.Params.plain_modulus ~degree:p.Params.degree
-      ~exponent
-  in
-  let seed = Rng.int64 rng in
-  let ct = Bgv.encrypt ctx (Rng.create seed) pk pt in
-  match Zkp.prove_contribution srs ctx pk ~plaintext:pt ~seed ct with
-  | Some proof -> (ct, proof)
-  | None -> assert false (* honest monomials are always admissible *)
+  encrypt_proven srs ctx rng pk
+    (Plaintext.monomial ~plain_modulus:p.Params.plain_modulus ~degree:p.Params.degree
+       ~exponent)
 
 let encrypt_zero_with_proof srs ctx rng pk =
   let p = Bgv.params ctx in
-  let pt = Plaintext.zero ~plain_modulus:p.Params.plain_modulus ~degree:p.Params.degree in
-  let seed = Rng.int64 rng in
-  let ct = Bgv.encrypt ctx (Rng.create seed) pk pt in
-  match Zkp.prove_contribution srs ctx pk ~plaintext:pt ~seed ct with
-  | Some proof -> (ct, proof)
-  | None -> assert false
+  encrypt_proven srs ctx rng pk
+    (Plaintext.zero ~plain_modulus:p.Params.plain_modulus ~degree:p.Params.degree)
 
 let build srs ctx rng pk info ~dest ~edge =
   let payload = row_payload info ~dest ~edge in
@@ -164,19 +161,22 @@ let build_malicious ctx rng pk info ~exponent ~coeff =
   { ciphertexts = Array.map fst pairs; proofs = Array.map snd pairs }
 
 let to_bytes t =
-  let buf = Buffer.create 4096 in
-  let add_framed b =
-    let hdr = Bytes.create 4 in
-    Bytes.set_int32_le hdr 0 (Int32.of_int (Bytes.length b));
-    Buffer.add_bytes buf hdr;
-    Buffer.add_bytes buf b
+  let parts =
+    Array.append (Array.map Bgv.serialize t.ciphertexts) (Array.map Zkp.proof_to_bytes t.proofs)
   in
-  let hdr = Bytes.create 4 in
-  Bytes.set_int32_le hdr 0 (Int32.of_int (Array.length t.ciphertexts));
-  Buffer.add_bytes buf hdr;
-  Array.iter (fun ct -> add_framed (Bgv.serialize ct)) t.ciphertexts;
-  Array.iter (fun p -> add_framed (Zkp.proof_to_bytes p)) t.proofs;
-  Buffer.to_bytes buf
+  let out =
+    Bytes.create (Array.fold_left (fun acc b -> acc + 4 + Bytes.length b) 4 parts)
+  in
+  Bytes.set_int32_le out 0 (Int32.of_int (Array.length t.ciphertexts));
+  let pos = ref 4 in
+  Array.iter
+    (fun b ->
+      let len = Bytes.length b in
+      Bytes.set_int32_le out !pos (Int32.of_int len);
+      Bytes.blit b 0 out (!pos + 4) len;
+      pos := !pos + 4 + len)
+    parts;
+  out
 
 (* Serialization is canonical (fixed framing, deterministic ciphertext
    encoding), so wire equality is structural equality. *)
@@ -241,17 +241,12 @@ let position_selected info field ~self ~edge v =
   else None
 
 let aggregate_subtree srs ~own ~children =
-  let inputs = match own with Some ct -> ct :: children | None -> children in
-  match inputs with
+  match (match own with Some input -> input :: children | None -> children) with
   | [] -> Error "empty subtree"
-  | _ -> (
-    let product = Bgv.mul_many inputs in
-    match
-      Zkp.prove_transcript srs ~label:"subtree-aggregation" ~context:Bytes.empty ~inputs
-        ~output:product ~recompute:Bgv.mul_many
-    with
-    | Some proof -> Ok (product, proof)
-    | None -> Error "subtree transcript proof failed")
+  | inputs ->
+    Ok
+      (Zkp.prove_transcript srs ~label:"subtree-aggregation" ~context:Bytes.empty ~inputs
+         ~compute:Bgv.mul_many)
 
 (* A factor of one group's product, described by indices into the flat
    input-ciphertext list so the whole aggregation can be re-executed
@@ -279,10 +274,12 @@ let aggregate_origin srs ctx rng pk info ~self ~rows =
     in
     let effective_groups = if self_grouped then 1 else groups in
     (* Flat input list: the origin's own-row ciphertext first, then
-       every neighbor ciphertext, then empty-group fillers. *)
+       every neighbor ciphertext, then empty-group fillers. Each one
+       carries a contribution proof (verified, for neighbor rows), and
+       the transcript binds it by the digest that proof carries. *)
     let inputs = ref [] and n_inputs = ref 0 in
-    let push ct =
-      inputs := ct :: !inputs;
+    let push ct proof =
+      inputs := (ct, Zkp.contribution_digest proof) :: !inputs;
       incr n_inputs;
       !n_inputs - 1
     in
@@ -298,8 +295,8 @@ let aggregate_origin srs ctx rng pk info ~self ~rows =
       end
       else b
     in
-    let own_ct, _own_proof = encrypt_with_proof srs ctx rng pk own_exponent in
-    let own_idx = push own_ct in
+    let own_ct, own_proof = encrypt_with_proof srs ctx rng pk own_exponent in
+    let own_idx = push own_ct own_proof in
     let own_group = Semantics.accumulation_group info own_ctx_row in
     let specs = Array.make effective_groups [] in
     let add_spec g s = specs.(g) <- s :: specs.(g) in
@@ -311,7 +308,7 @@ let aggregate_origin srs ctx rng pk info ~self ~rows =
       (fun (edge, (row : t)) ->
         match field with
         | None -> (
-          let idx0 = push row.ciphertexts.(0) in
+          let idx0 = push row.ciphertexts.(0) row.proofs.(0) in
           let ctx_row = { Semantics.self; dest = self (* unused *); edge } in
           match Semantics.accumulation_group info ctx_row with
           | Some g when g >= 0 && g < effective_groups -> add_spec g (Direct idx0)
@@ -320,7 +317,7 @@ let aggregate_origin srs ctx rng pk info ~self ~rows =
           if Array.length row.ciphertexts <> Analysis.field_slots field then
             problem := Some "sequence length mismatch"
           else begin
-            let idxs = Array.map push row.ciphertexts in
+            let idxs = Array.map2 push row.ciphertexts row.proofs in
             for g = 0 to effective_groups - 1 do
               let selected = ref [] in
               for v = Array.length row.ciphertexts - 1 downto 0 do
@@ -334,22 +331,16 @@ let aggregate_origin srs ctx rng pk info ~self ~rows =
       rows;
     (* Empty groups still report the (s=0, c=0) bin: fill with a fresh
        Enc(x^0). *)
-    let fillers =
-      Array.init effective_groups (fun g ->
-          if specs.(g) = [] then begin
-            let ct, _ = encrypt_with_proof srs ctx rng pk 0 in
-            let idx = push ct in
-            add_spec g (Direct idx);
-            Some idx
-          end
-          else None)
-    in
-    ignore fillers;
+    for g = 0 to effective_groups - 1 do
+      if specs.(g) = [] then begin
+        let ct, proof = encrypt_with_proof srs ctx rng pk 0 in
+        add_spec g (Direct (push ct proof))
+      end
+    done;
     match !problem with
     | Some e -> Error e
     | None ->
-      let input_arr = Array.of_list (List.rev !inputs) in
-      (* The deterministic aggregation: replayed by the prover. *)
+      (* The deterministic aggregation circuit, run once by the prover. *)
       let compute (cts : Bgv.ciphertext list) =
         let arr = Array.of_list cts in
         let factor = function
@@ -374,12 +365,8 @@ let aggregate_origin srs ctx rng pk info ~self ~rows =
         in
         sum_groups 1 (shifted 0)
       in
-      let total = compute (Array.to_list input_arr) in
-      (match
-         Zkp.prove_transcript srs ~label:"origin-aggregation"
+      Ok
+        (Zkp.prove_transcript srs ~label:"origin-aggregation"
            ~context:(Bytes.of_string info.Analysis.query.Ast.name)
-           ~inputs:(Array.to_list input_arr) ~output:total ~recompute:compute
-       with
-      | Some proof -> Ok (total, proof)
-      | None -> Error "transcript proof failed")
+           ~inputs:(List.rev !inputs) ~compute)
   end

@@ -67,15 +67,18 @@ val verify :
 
 val aggregate_subtree :
   Mycelium_zkp.Zkp.srs ->
-  own:Mycelium_bgv.Bgv.ciphertext option ->
-  children:Mycelium_bgv.Bgv.ciphertext list ->
+  own:(Mycelium_bgv.Bgv.ciphertext * Mycelium_zkp.Zkp.digest) option ->
+  children:(Mycelium_bgv.Bgv.ciphertext * Mycelium_zkp.Zkp.digest) list ->
   (Mycelium_bgv.Bgv.ciphertext * Mycelium_zkp.Zkp.proof, string) result
 (** One step of the §4.4 spanning-tree aggregation: an interior vertex
     multiplies its own (already-proven) contribution with its
-    children's partial products and proves the product to the
-    aggregator. [own = None] models a vertex whose own contribution was
-    discarded (its children still flow). Only for queries without §4.5
-    sequences (multi-hop queries in the corpus have none). *)
+    children's partial products, once, and proves the product to the
+    aggregator. Each input comes with its transcript digest: the
+    statement of its contribution proof, or the digest of a child's
+    verified product. [own = None] models a vertex whose own
+    contribution was discarded (its children still flow). Only for
+    queries without §4.5 sequences (multi-hop queries in the corpus
+    have none). *)
 
 val aggregate_origin :
   Mycelium_zkp.Zkp.srs ->
@@ -89,5 +92,7 @@ val aggregate_origin :
 (** The origin's local aggregation over verified neighbor rows plus its
     own row: §4.5 sequence selection and correction, per-group routing
     and bin shifts, the §4.4 origin gate (Enc(0) when it fails), and
-    the aggregation transcript proof. [rows] excludes the origin's own
-    row — it is built internally (it knows its own data). *)
+    the aggregation transcript proof, which binds each input by the
+    statement of its contribution proof. [rows] must have passed
+    {!verify}; they exclude the origin's own row — it is built
+    internally (it knows its own data). *)

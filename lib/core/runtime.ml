@@ -542,8 +542,13 @@ and aggregate_phase ~ph t inj info rows ~discarded_rows =
     List.iter
       (fun (m, _) ->
         if not (t.byzantine.(m)) then begin
+          (* Rows were verified at gather, so a row's transcript digest
+             is the statement its proof carries; a verified product's
+             digest is computed once, here, and reused by its parent. *)
           let own =
-            Option.map (fun (r : Contribution.t) -> r.Contribution.ciphertexts.(0))
+            Option.map
+              (fun (r : Contribution.t) ->
+                (r.Contribution.ciphertexts.(0), Zkp.contribution_digest r.Contribution.proofs.(0)))
               (Hashtbl.find_opt contribution_of m)
           in
           let kids =
@@ -552,10 +557,11 @@ and aggregate_phase ~ph t inj info rows ~discarded_rows =
           in
           match Contribution.aggregate_subtree t.srs ~own ~children:kids with
           | Ok (product, proof) ->
+            let digest = Zkp.digest product in
             if Zkp.verify_transcript t.srs ~label:"subtree-aggregation" ~context:Bytes.empty
-                 ~inputs:(match own with Some ct -> ct :: kids | None -> kids)
-                 ~output:product proof
-            then Hashtbl.replace products m product
+                 ~inputs:(List.map snd (match own with Some input -> input :: kids | None -> kids))
+                 ~output:digest proof
+            then Hashtbl.replace products m (product, digest)
             else incr local_discarded
           | Error _ -> ()
         end
@@ -580,7 +586,9 @@ and aggregate_phase ~ph t inj info rows ~discarded_rows =
           List.filter_map (fun c -> Hashtbl.find_opt products c)
             (Option.value ~default:[] (Hashtbl.find_opt children origin))
         in
-        match Contribution.aggregate_subtree t.srs ~own:(Some own_ct) ~children:kids with
+        match
+          Contribution.aggregate_subtree t.srs ~own:(Some (own_ct, Zkp.digest own_ct)) ~children:kids
+        with
         | Ok (product, _proof) -> Ok product
         | Error e -> Error e
       end
@@ -611,12 +619,12 @@ and aggregate_phase ~ph t inj info rows ~discarded_rows =
         then begin
           let bad = Contribution.build_malicious t.ctx rng t.pk info ~exponent:2 ~coeff:999 in
           let forged = Zkp.forge rng in
+          let bad_digest = Zkp.digest bad.Contribution.ciphertexts.(0) in
           (* The aggregator checks the transcript proof and discards. *)
           if
             Zkp.verify_transcript t.srs ~label:"origin-aggregation"
               ~context:(Bytes.of_string info.Analysis.query.Ast.name)
-              ~inputs:[ bad.Contribution.ciphertexts.(0) ]
-              ~output:bad.Contribution.ciphertexts.(0) forged
+              ~inputs:[ bad_digest ] ~output:bad_digest forged
           then `Forged_accepted bad.Contribution.ciphertexts.(0)
           else `Forged_rejected t.byzantine.(origin)
         end

@@ -43,33 +43,36 @@ let init () =
     w = Array.make 64 0;
   }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+(* For a 32-bit [x], [x lor (x lsl 32)] holds two copies of it (the top
+   bit of the upper copy falls off a 63-bit int); bits n..n+31 of that
+   are [x] rotated right by n for every n <= 31, so a rotation is one
+   shift of the doubled word and the three rotations of a sigma share a
+   single mask. *)
+let[@inline] double x = x lor (x lsl 32)
 
 let compress ctx block off =
   let w = ctx.w in
   for i = 0 to 15 do
-    let j = off + (4 * i) in
-    w.(i) <-
-      (Bytes.get_uint8 block j lsl 24)
-      lor (Bytes.get_uint8 block (j + 1) lsl 16)
-      lor (Bytes.get_uint8 block (j + 2) lsl 8)
-      lor Bytes.get_uint8 block (j + 3)
+    Array.unsafe_set w i (Int32.to_int (Bytes.get_int32_be block (off + (4 * i))) land mask)
   done;
   for i = 16 to 63 do
-    let s0 = rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3) in
-    let s1 = rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor (w.(i - 2) lsr 10) in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
+    let x = Array.unsafe_get w (i - 15) and y = Array.unsafe_get w (i - 2) in
+    let xx = double x and yy = double y in
+    let s0 = ((xx lsr 7) lxor (xx lsr 18)) land mask lxor (x lsr 3) in
+    let s1 = ((yy lsr 17) lxor (yy lsr 19)) land mask lxor (y lsr 10) in
+    Array.unsafe_set w i
+      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1) land mask)
   done;
   let h = ctx.h in
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
+    let ee = double !e and aa = double !a in
+    let s1 = ((ee lsr 6) lxor (ee lsr 11) lxor (ee lsr 25)) land mask in
     let ch = (!e land !f) lxor (lnot !e land !g) in
-    let temp1 = (!hh + s1 + ch + k.(i) + w.(i)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
+    let temp1 = !hh + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i in
+    let s0 = ((aa lsr 2) lxor (aa lsr 13) lxor (aa lsr 22)) land mask in
     let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let temp2 = (s0 + maj) land mask in
     hh := !g;
     g := !f;
     f := !e;
@@ -77,7 +80,7 @@ let compress ctx block off =
     d := !c;
     c := !b;
     b := !a;
-    a := (temp1 + temp2) land mask
+    a := (temp1 + s0 + maj) land mask
   done;
   h.(0) <- (h.(0) + !a) land mask;
   h.(1) <- (h.(1) + !b) land mask;

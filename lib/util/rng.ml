@@ -1,45 +1,51 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in an 8-byte buffer, so a draw
+   allocates nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 seed;
+  t
 
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
 (* SplitMix64 output function: one additive step plus two xor-shift
    multiplies (variant "mix13"). *)
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let int64 = next_int64
+let[@inline] next_int64 t =
+  let state = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 state;
+  mix state
+
+let int64 t = next_int64 t
 
 let split t =
-  let seed = next_int64 t in
   (* Mix once more so that split streams do not share prefixes with the
      parent stream shifted by one. *)
-  { state = Int64.mul seed 0xDA942042E4DD58B5L }
+  create (Int64.mul (next_int64 t) 0xDA942042E4DD58B5L)
 
 let mix64 a b =
   (* One SplitMix64 step keyed by [a] with [b] folded into the state:
      a stateless hash-combine for deriving decision keys. *)
-  let t = { state = Int64.logxor a (Int64.mul b 0xFF51AFD7ED558CCDL) } in
-  next_int64 t
+  mix (Int64.add (Int64.logxor a (Int64.mul b 0xFF51AFD7ED558CCDL)) golden_gamma)
 
-let bits62 t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
+let[@inline] bits62 t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
 
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection sampling on the top multiple of [n] below 2^62. *)
   let limit = 0x3FFF_FFFF_FFFF_FFFF / n * n in
-  let rec draw () =
-    let v = bits62 t in
-    if v < limit then v mod n else draw ()
-  in
-  draw ()
+  let v = ref (bits62 t) in
+  while !v >= limit do
+    v := bits62 t
+  done;
+  !v mod n
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";

@@ -35,21 +35,35 @@ let plaintext_admissible pt =
   | None -> Array.for_all (fun c -> c = 0) (Plaintext.coeffs pt)
   | Some (_, c) -> c = 1
 
-let contribution_statement ct = digest_parts [ Bytes.of_string "contribution"; Bgv.serialize ct ]
+type digest = bytes
 
-let prove_contribution srs ctx pk ~plaintext ~seed ct =
+(* D(ct), the contribution statement, from [Bgv.serialize ct]. *)
+let digest_of_wire wire = digest_parts [ Bytes.of_string "contribution"; wire ]
+
+let digest ct = digest_of_wire (Bgv.serialize ct)
+
+let contribution_digest proof = proof.statement
+
+(* One encryption, one serialization, one hash: the wire bytes are
+   returned so that [prove_contribution] can compare against them. *)
+let encrypt_wire srs ctx pk ~plaintext ~seed =
   if not (plaintext_admissible plaintext) then None
   else begin
-    (* Re-run the encryption circuit on the witness. *)
-    let reenc = Bgv.encrypt ctx (Rng.create seed) pk plaintext in
-    if not (Bytes.equal (Bgv.serialize reenc) (Bgv.serialize ct)) then None
-    else begin
-      let statement = contribution_statement ct in
-      Some { statement; mac = sign srs statement }
-    end
+    let ct = Bgv.encrypt ctx (Rng.create seed) pk plaintext in
+    let wire = Bgv.serialize ct in
+    let statement = digest_of_wire wire in
+    Some (ct, wire, { statement; mac = sign srs statement })
   end
 
-let verify_contribution srs _ctx ct proof = check srs (contribution_statement ct) proof
+let encrypt_contribution srs ctx pk ~plaintext ~seed =
+  Option.map (fun (ct, _, proof) -> (ct, proof)) (encrypt_wire srs ctx pk ~plaintext ~seed)
+
+let prove_contribution srs ctx pk ~plaintext ~seed ct =
+  match encrypt_wire srs ctx pk ~plaintext ~seed with
+  | Some (_, wire, proof) when Bytes.equal wire (Bgv.serialize ct) -> Some proof
+  | Some _ | None -> None
+
+let verify_contribution srs _ctx ct proof = check srs (digest ct) proof
 
 let product_statement ~inputs ~output =
   digest_parts
@@ -68,20 +82,31 @@ let prove_product srs ~inputs ~output =
 
 let verify_product srs ~inputs ~output proof = check srs (product_statement ~inputs ~output) proof
 
+(* "transcript" ‖ len(label) ‖ label ‖ len(context) ‖ context ‖ D(output)
+   ‖ D(input_1) ‖ ... with 4-byte little-endian lengths: the framing
+   keeps (label, context) splits of the same bytes apart, and every
+   digest after them is 32 bytes. *)
 let transcript_statement ~label ~context ~inputs ~output =
-  digest_parts
-    (Bytes.of_string ("transcript:" ^ label)
-    :: context
-    :: Bgv.serialize output
-    :: List.map Bgv.serialize inputs)
+  let h = Sha256.init () in
+  let framed b =
+    let len = Bytes.create 4 in
+    Bytes.set_int32_le len 0 (Int32.of_int (Bytes.length b));
+    Sha256.update h len;
+    Sha256.update h b
+  in
+  Sha256.update_string h "transcript";
+  framed (Bytes.of_string label);
+  framed context;
+  Sha256.update h output;
+  List.iter (Sha256.update h) inputs;
+  Sha256.finalize h
 
-let prove_transcript srs ~label ~context ~inputs ~output ~recompute =
-  let recomputed = recompute inputs in
-  if not (Bytes.equal (Bgv.serialize recomputed) (Bgv.serialize output)) then None
-  else begin
-    let statement = transcript_statement ~label ~context ~inputs ~output in
-    Some { statement; mac = sign srs statement }
-  end
+let prove_transcript srs ~label ~context ~inputs ~compute =
+  let output = compute (List.map fst inputs) in
+  let statement =
+    transcript_statement ~label ~context ~inputs:(List.map snd inputs) ~output:(digest output)
+  in
+  (output, { statement; mac = sign srs statement })
 
 let verify_transcript srs ~label ~context ~inputs ~output proof =
   check srs (transcript_statement ~label ~context ~inputs ~output) proof

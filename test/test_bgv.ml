@@ -429,6 +429,74 @@ let test_deserialize_garbage () =
   checkb "truncated real ciphertext" true
     (Bgv.deserialize ctx (Bytes.sub b 0 (Bytes.length b - 5)) = None)
 
+(* The Buffer-based serializer the single-buffer one replaced, kept as
+   a byte-identity oracle. *)
+let reference_serialize ct =
+  let buf = Buffer.create 4096 in
+  let add_i32 v =
+    let b = Bytes.create 4 in
+    Bytes.set_int32_le b 0 (Int32.of_int v);
+    Buffer.add_bytes buf b
+  in
+  let comps = Bgv.components ct in
+  add_i32 (Array.length comps);
+  Array.iter
+    (fun comp ->
+      let rows = Rq.residues comp in
+      add_i32 (match Rq.repr_of comp with Rq.Coeff -> 0 | Rq.Eval -> 1);
+      add_i32 (Array.length rows);
+      Array.iter
+        (fun row ->
+          add_i32 (Array.length row);
+          Array.iter add_i32 row)
+        rows)
+    comps;
+  Buffer.to_bytes buf
+
+let test_serialize_matches_reference () =
+  let ctx = Lazy.force ctx_small in
+  let sk, pk = Lazy.force keys_small in
+  let rng = Rng.create 63L in
+  let fresh = Bgv.encrypt_value ctx rng pk 3 in
+  (* The same residues under the other representation tag: a valid
+     ciphertext resident in the other domain. *)
+  let flipped =
+    let b = reference_serialize fresh in
+    let pos = ref 4 in
+    Array.iter
+      (fun comp ->
+        let tag = Int32.to_int (Bytes.get_int32_le b !pos) in
+        Bytes.set_int32_le b !pos (Int32.of_int (1 - tag));
+        pos := !pos + 8 + Array.fold_left (fun acc row -> acc + 4 + (4 * Array.length row)) 0 (Rq.residues comp))
+      (Bgv.components fresh);
+    match Bgv.deserialize ctx b with Some ct -> ct | None -> Alcotest.fail "flipped tag rejected"
+  in
+  let product = Bgv.mul fresh (Bgv.encrypt_value ctx rng pk 4) in
+  let rk = Bgv.relin_keygen ctx rng sk ~max_degree:2 in
+  let small = Bgv.drop_level ctx in
+  let cases =
+    [
+      ("fresh", ctx, fresh);
+      ("flipped representation", ctx, flipped);
+      ("degree 2", ctx, product);
+      ("relinearized", ctx, Bgv.relinearize ctx rk product);
+      ("dropped level", small, Bgv.mod_switch small fresh);
+      ("dropped level, degree 2", small, Bgv.mod_switch small product);
+    ]
+  in
+  let tags = ref [] in
+  List.iter
+    (fun (name, ctx, ct) ->
+      let b = Bgv.serialize ct in
+      checkb (name ^ ": bytes match the reference") true (Bytes.equal b (reference_serialize ct));
+      Array.iter (fun c -> tags := Rq.repr_of c :: !tags) (Bgv.components ct);
+      match Bgv.deserialize ctx b with
+      | Some ct' -> checkb (name ^ ": round trip") true (Bytes.equal (Bgv.serialize ct') b)
+      | None -> Alcotest.fail (name ^ ": deserialize failed"))
+    cases;
+  checkb "both representations covered" true
+    (List.mem Rq.Coeff !tags && List.mem Rq.Eval !tags)
+
 (* ------------------------------------------------------------------ *)
 (* Threshold-decryption hooks                                          *)
 (* ------------------------------------------------------------------ *)
@@ -511,6 +579,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_serialize_roundtrip;
           Alcotest.test_case "garbage rejected" `Quick test_deserialize_garbage;
+          Alcotest.test_case "matches the Buffer reference" `Quick test_serialize_matches_reference;
         ] );
       ( "threshold-hooks",
         [

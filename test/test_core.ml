@@ -338,6 +338,40 @@ let test_summation_tree_wrong_root_sum () =
        ~root_sum:(Bgv.encrypt_value ctx rng pk 0)
        ~leaf_count:4 (Summation_tree.audit tree 0))
 
+(* Byte-identity pins at fixed seeds: a contribution's wire form (every
+   ciphertext and proof of a 14-ciphertext Q3 row) and one summation
+   tree's root hash and audit path. The expected digests were taken
+   from the two-pass prover and the Buffer-based serializer; the
+   single-pass kernels must reproduce them byte for byte. *)
+let test_pinned_wire_bytes () =
+  let hex b = Mycelium_util.Hex.encode (Mycelium_crypto.Sha256.digest b) in
+  let ctx = Bgv.make_ctx fast_params in
+  let rng = Rng.create 20L in
+  let _, pk = Bgv.keygen ctx rng in
+  let srs = Mycelium_zkp.Zkp.setup rng in
+  let info = Analysis.analyze_exn ~degree_bound:4 (Corpus.find "Q3").Corpus.query in
+  let dest = { Schema.infected = true; t_inf = Some 5; age = 30; household = 1 } in
+  let c = Contribution.build srs ctx rng pk info ~dest ~edge:None in
+  Alcotest.(check string) "Contribution.to_bytes"
+    "5906b10aa44cbe96b3f6d70235a972a2389e79a2172cdaf36a58969ca8988a4f"
+    (hex (Contribution.to_bytes c));
+  let _, _, leaves = summation_fixture 5 in
+  let tree = Summation_tree.build leaves in
+  Alcotest.(check string) "root hash"
+    "5cde8153ed46502e6dffcbcad8519b74c093faec31740b2a63c4592db3db3219"
+    (Mycelium_util.Hex.encode (Summation_tree.root_hash tree));
+  let path = Summation_tree.audit tree 2 in
+  let steps =
+    List.concat_map
+      (function
+        | None -> [ Bytes.of_string "-" ]
+        | Some (ct, h) -> [ Bgv.serialize ct; h ])
+      path.Summation_tree.steps
+  in
+  Alcotest.(check string) "audit path"
+    "01bae2e33c51ee8b6e44b96765be4b63e9a118289aae022162c6375bdcbb8bbb"
+    (hex (Bytes.concat Bytes.empty steps))
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -597,6 +631,7 @@ let () =
           Alcotest.test_case "audits pass" `Quick test_summation_tree_audits_pass;
           Alcotest.test_case "detects cheating" `Quick test_summation_tree_detects_cheating;
           Alcotest.test_case "forged total rejected" `Quick test_summation_tree_wrong_root_sum;
+          Alcotest.test_case "pinned wire bytes" `Quick test_pinned_wire_bytes;
         ] );
       ( "end-to-end",
         [

@@ -34,6 +34,121 @@ let test_sha256_vectors () =
     "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
     (Sha256.digest_string (String.make 1_000_000 'a'))
 
+let test_sha256_fips_896 () =
+  check_hex "896-bit two-block message"
+    "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
+    (Sha256.digest_string
+       "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu")
+
+(* The byte-at-a-time compression loop the word-load one replaced,
+   kept as an oracle: a one-shot digest over checked accesses. *)
+module Ref_sha256 = struct
+  let mask = 0xFFFFFFFF
+
+  let k =
+    [|
+      0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1; 0x923f82a4;
+      0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3; 0x72be5d74; 0x80deb1fe;
+      0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786; 0x0fc19dc6; 0x240ca1cc; 0x2de92c6f;
+      0x4a7484aa; 0x5cb0a9dc; 0x76f988da; 0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7;
+      0xc6e00bf3; 0xd5a79147; 0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc;
+      0x53380d13; 0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
+      0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070; 0x19a4c116;
+      0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a; 0x5b9cca4f; 0x682e6ff3;
+      0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208; 0x90befffa; 0xa4506ceb; 0xbef9a3f7;
+      0xc67178f2;
+    |]
+
+  let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+
+  let compress h w block off =
+    for i = 0 to 15 do
+      let j = off + (4 * i) in
+      w.(i) <-
+        (Bytes.get_uint8 block j lsl 24)
+        lor (Bytes.get_uint8 block (j + 1) lsl 16)
+        lor (Bytes.get_uint8 block (j + 2) lsl 8)
+        lor Bytes.get_uint8 block (j + 3)
+    done;
+    for i = 16 to 63 do
+      let s0 = rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3) in
+      let s1 = rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor (w.(i - 2) lsr 10) in
+      w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
+    done;
+    let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
+    let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
+    for i = 0 to 63 do
+      let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
+      let ch = (!e land !f) lxor (lnot !e land !g) in
+      let temp1 = (!hh + s1 + ch + k.(i) + w.(i)) land mask in
+      let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
+      let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
+      let temp2 = (s0 + maj) land mask in
+      hh := !g;
+      g := !f;
+      f := !e;
+      e := (!d + temp1) land mask;
+      d := !c;
+      c := !b;
+      b := !a;
+      a := (temp1 + temp2) land mask
+    done;
+    List.iteri (fun i v -> h.(i) <- (h.(i) + v) land mask) [ !a; !b; !c; !d; !e; !f; !g; !hh ]
+
+  let digest data =
+    let len = Bytes.length data in
+    let padded_len = (len + 9 + 63) / 64 * 64 in
+    let m = Bytes.make padded_len '\x00' in
+    Bytes.blit data 0 m 0 len;
+    Bytes.set_uint8 m len 0x80;
+    for i = 0 to 7 do
+      Bytes.set_uint8 m (padded_len - 1 - i) (((len * 8) lsr (8 * i)) land 0xFF)
+    done;
+    let h =
+      [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
+    in
+    let w = Array.make 64 0 in
+    for blk = 0 to (padded_len / 64) - 1 do
+      compress h w m (64 * blk)
+    done;
+    let out = Bytes.create 32 in
+    Array.iteri (fun i v -> Bytes.set_int32_be out (4 * i) (Int32.of_int v)) h;
+    out
+end
+
+let test_sha256_oracle () =
+  let rng = Rng.create 14L in
+  let lengths = List.init 301 Fun.id @ List.init 20 (fun _ -> Rng.int rng 9_001) in
+  List.iter
+    (fun len ->
+      let data = Rng.bytes rng len in
+      checkb (Printf.sprintf "random, %d bytes" len) true
+        (Bytes.equal (Ref_sha256.digest data) (Sha256.digest data));
+      let ff = Bytes.make len '\xff' in
+      checkb (Printf.sprintf "0xff, %d bytes" len) true
+        (Bytes.equal (Ref_sha256.digest ff) (Sha256.digest ff)))
+    lengths;
+  (* The padding boundaries, also through streaming splits: every split
+     point of each message, and a split into 1-byte pieces. *)
+  List.iter
+    (fun len ->
+      let data = Rng.bytes rng len in
+      let expected = Ref_sha256.digest data in
+      for split = 0 to len do
+        let ctx = Sha256.init () in
+        Sha256.update_sub ctx data ~pos:0 ~len:split;
+        Sha256.update_sub ctx data ~pos:split ~len:(len - split);
+        checkb (Printf.sprintf "%d bytes split at %d" len split) true
+          (Bytes.equal expected (Sha256.finalize ctx))
+      done;
+      let ctx = Sha256.init () in
+      for i = 0 to len - 1 do
+        Sha256.update_sub ctx data ~pos:i ~len:1
+      done;
+      checkb (Printf.sprintf "%d bytes byte by byte" len) true
+        (Bytes.equal expected (Sha256.finalize ctx)))
+    [ 0; 1; 55; 56; 63; 64; 65; 119; 120; 128; 200 ]
+
 let test_sha256_incremental () =
   (* Chunked update must agree with one-shot for many split points. *)
   let data = Bytes.of_string (String.init 1000 (fun i -> Char.chr (i mod 256))) in
@@ -543,6 +658,8 @@ let () =
       ( "sha256",
         [
           Alcotest.test_case "FIPS vectors" `Quick test_sha256_vectors;
+          Alcotest.test_case "FIPS 896-bit vector" `Quick test_sha256_fips_896;
+          Alcotest.test_case "word-load oracle" `Quick test_sha256_oracle;
           Alcotest.test_case "incremental" `Quick test_sha256_incremental;
           Alcotest.test_case "double finalize" `Quick test_sha256_double_finalize;
           Alcotest.test_case "HMAC RFC 4231" `Quick test_hmac_rfc4231;

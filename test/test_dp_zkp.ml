@@ -254,6 +254,111 @@ let test_zkp_different_srs () =
   | Some proof -> checkb "proof tied to setup" false (Zkp.verify_contribution srs_b ctx ct proof)
   | None -> Alcotest.fail "honest prover refused"
 
+let test_zkp_encrypt_contribution () =
+  (* The prover is the encryptor: its ciphertext is exactly the
+     device's deterministic encryption, and its proof verifies. *)
+  let ctx = Lazy.force ctx in
+  let _, pk = Lazy.force keys in
+  let srs = Lazy.force srs in
+  List.iter
+    (fun (name, pt, seed) ->
+      match Zkp.encrypt_contribution srs ctx pk ~plaintext:pt ~seed with
+      | Some (ct, proof) ->
+        checkb (name ^ " byte-identical") true
+          (Bytes.equal (Bgv.serialize ct) (Bgv.serialize (encrypt_seeded seed pt)));
+        checkb (name ^ " verifies") true (Zkp.verify_contribution srs ctx ct proof);
+        checkb (name ^ " equals prove_contribution") true
+          (Option.map Zkp.proof_to_bytes (Zkp.prove_contribution srs ctx pk ~plaintext:pt ~seed ct)
+          = Some (Zkp.proof_to_bytes proof));
+        checkb (name ^ " wrong seed refused") true
+          (Zkp.prove_contribution srs ctx pk ~plaintext:pt ~seed:(Int64.succ seed) ct = None)
+      | None -> Alcotest.fail (name ^ ": honest prover refused"))
+    [
+      ("monomial", mono 5, 17L);
+      ("x^0", mono 0, 18L);
+      ("zero", Plaintext.zero ~plain_modulus:(Bgv.plain_modulus ctx) ~degree:16, 19L);
+    ];
+  let t = Bgv.plain_modulus ctx in
+  checkb "two coefficients refused" true
+    (Zkp.encrypt_contribution srs ctx pk ~plaintext:(Plaintext.create ~plain_modulus:t [| 1; 0; 1 |])
+       ~seed:20L
+    = None);
+  checkb "coefficient 2 refused" true
+    (Zkp.encrypt_contribution srs ctx pk ~plaintext:(Plaintext.create ~plain_modulus:t [| 0; 0; 2 |])
+       ~seed:21L
+    = None)
+
+(* An honest origin-aggregation transcript over three proven
+   contributions: (ciphertexts, the verifier's own digests of them,
+   the output, the proof). *)
+let honest_transcript ?(label = "origin-aggregation") ?(context = Bytes.of_string "Q5") () =
+  let ctx = Lazy.force ctx in
+  let _, pk = Lazy.force keys in
+  let srs = Lazy.force srs in
+  let proven =
+    List.map
+      (fun (e, seed) ->
+        match Zkp.encrypt_contribution srs ctx pk ~plaintext:(mono e) ~seed with
+        | Some (ct, proof) -> (ct, proof)
+        | None -> Alcotest.fail "honest prover refused")
+      [ (1, 31L); (0, 32L); (2, 33L) ]
+  in
+  let output, proof =
+    Zkp.prove_transcript srs ~label ~context
+      ~inputs:(List.map (fun (ct, p) -> (ct, Zkp.contribution_digest p)) proven)
+      ~compute:Bgv.mul_many
+  in
+  let cts = List.map fst proven in
+  (cts, List.map Zkp.digest cts, output, proof)
+
+let test_zkp_transcript_honest () =
+  let srs = Lazy.force srs in
+  let cts, digests, output, proof = honest_transcript () in
+  checkb "output is the product" true
+    (Bytes.equal (Bgv.serialize output) (Bgv.serialize (Bgv.mul_many cts)));
+  checkb "verifies" true
+    (Zkp.verify_transcript srs ~label:"origin-aggregation" ~context:(Bytes.of_string "Q5")
+       ~inputs:digests ~output:(Zkp.digest output) proof)
+
+let test_zkp_transcript_rejections () =
+  let ctx = Lazy.force ctx in
+  let _, pk = Lazy.force keys in
+  let srs = Lazy.force srs in
+  let cts, digests, output, proof = honest_transcript () in
+  let verify ?(srs = srs) ?(label = "origin-aggregation") ?(context = Bytes.of_string "Q5")
+      ?(inputs = digests) ?(output = Zkp.digest output) proof =
+    Zkp.verify_transcript srs ~label ~context ~inputs ~output proof
+  in
+  let tampered = Bgv.mul output (Bgv.encrypt_value ctx (Rng.create 34L) pk 0) in
+  checkb "tampered output" false (verify ~output:(Zkp.digest tampered) proof);
+  checkb "output replaced by an input" false (verify ~output:(Zkp.digest (List.hd cts)) proof);
+  (match digests with
+  | a :: b :: rest -> checkb "swapped inputs" false (verify ~inputs:(b :: a :: rest) proof)
+  | _ -> assert false);
+  checkb "dropped input" false (verify ~inputs:(List.tl digests) proof);
+  checkb "other label" false (verify ~label:"subtree-aggregation" proof);
+  checkb "other context" false (verify ~context:(Bytes.of_string "Q6") proof);
+  checkb "other srs" false (verify ~srs:(Zkp.setup (Rng.create 506L)) proof);
+  checkb "forged proof" false (verify (Zkp.forge (Rng.create 507L)))
+
+let test_zkp_transcript_framing () =
+  (* The label and the context are length-framed: moving bytes from the
+     context into the label gives another statement, and neither
+     proof verifies against the other split. *)
+  let srs = Lazy.force srs in
+  let ctx_a = Bytes.of_string "bQ5" and ctx_b = Bytes.of_string "Q5" in
+  let _, digests, output, proof_a = honest_transcript ~label:"a" ~context:ctx_a () in
+  let _, _, _, proof_b = honest_transcript ~label:"ab" ~context:ctx_b () in
+  let statement p = Bytes.sub (Zkp.proof_to_bytes p) 0 32 in
+  checkb "different statements" false (Bytes.equal (statement proof_a) (statement proof_b));
+  let verify ~label ~context proof =
+    Zkp.verify_transcript srs ~label ~context ~inputs:digests ~output:(Zkp.digest output) proof
+  in
+  checkb "a verifies" true (verify ~label:"a" ~context:ctx_a proof_a);
+  checkb "ab verifies" true (verify ~label:"ab" ~context:ctx_b proof_b);
+  checkb "a's proof under the ab split" false (verify ~label:"ab" ~context:ctx_b proof_a);
+  checkb "ab's proof under the a split" false (verify ~label:"a" ~context:ctx_a proof_b)
+
 let test_zkp_cost_model () =
   (* Anchors from the paper: ~1 min proving, ~10 s verification of a
      4.3 MB ciphertext, 192-byte proofs. *)
@@ -293,6 +398,10 @@ let () =
           Alcotest.test_case "product roundtrip" `Quick test_zkp_product_roundtrip;
           Alcotest.test_case "product inputs bound" `Quick test_zkp_product_input_substitution;
           Alcotest.test_case "proof tied to setup" `Quick test_zkp_different_srs;
+          Alcotest.test_case "prover is the encryptor" `Quick test_zkp_encrypt_contribution;
+          Alcotest.test_case "honest transcript" `Quick test_zkp_transcript_honest;
+          Alcotest.test_case "transcript rejections" `Quick test_zkp_transcript_rejections;
+          Alcotest.test_case "transcript framing" `Quick test_zkp_transcript_framing;
           Alcotest.test_case "Groth16 cost anchors" `Quick test_zkp_cost_model;
         ] );
     ]

@@ -61,6 +61,93 @@ let test_rng_split_independent () =
   let b = Array.init 32 (fun _ -> Rng.int64 child) in
   checkb "streams differ" true (a <> b)
 
+(* The record-based SplitMix64 that the unboxed-state generator
+   replaced, kept as an oracle: every stream must stay bit-identical. *)
+module Ref_rng = struct
+  type t = { mutable state : int64 }
+
+  let golden_gamma = 0x9E3779B97F4A7C15L
+  let create seed = { state = seed }
+  let copy t = { state = t.state }
+
+  let next_int64 t =
+    t.state <- Int64.add t.state golden_gamma;
+    let z = t.state in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let split t = { state = Int64.mul (next_int64 t) 0xDA942042E4DD58B5L }
+  let mix64 a b = next_int64 { state = Int64.logxor a (Int64.mul b 0xFF51AFD7ED558CCDL) }
+  let bits62 t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
+
+  let int t n =
+    let limit = 0x3FFF_FFFF_FFFF_FFFF / n * n in
+    let rec draw () =
+      let v = bits62 t in
+      if v < limit then v mod n else draw ()
+    in
+    draw ()
+
+  let float t = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) *. 0x1.0p-53
+  let bool t = Int64.equal (Int64.logand (next_int64 t) 1L) 1L
+
+  let fill t b ~pos ~len =
+    let full = len / 8 in
+    for i = 0 to full - 1 do
+      Bytes.set_int64_le b (pos + (i * 8)) (next_int64 t)
+    done;
+    let rem = len - (full * 8) in
+    if rem > 0 then begin
+      let v = ref (next_int64 t) in
+      for i = 0 to rem - 1 do
+        Bytes.set_uint8 b (pos + (full * 8) + i) (Int64.to_int (Int64.logand !v 0xFFL));
+        v := Int64.shift_right_logical !v 8
+      done
+    end
+end
+
+let test_rng_matches_record_oracle () =
+  let draws = 10_000 in
+  List.iter
+    (fun seed ->
+      let name what = Printf.sprintf "seed %Ld: %s" seed what in
+      let a = Rng.create seed and r = Ref_rng.create seed in
+      let same what f g =
+        let ok = ref true in
+        for _ = 1 to draws do
+          let x = f () in
+          if x <> g () then ok := false
+        done;
+        checkb (name what) true !ok
+      in
+      same "int64" (fun () -> Rng.int64 a) (fun () -> Ref_rng.next_int64 r);
+      List.iter
+        (fun n -> same (Printf.sprintf "int %d" n) (fun () -> Rng.int a n) (fun () -> Ref_rng.int r n))
+        [ 1; 3; 17; 1 lsl 61 ];
+      same "bool" (fun () -> Rng.bool a) (fun () -> Ref_rng.bool r);
+      same "float" (fun () -> Rng.float a) (fun () -> Ref_rng.float r);
+      same "fill" (fun () ->
+          let b = Bytes.make 23 'x' in
+          Rng.fill a b ~pos:3 ~len:(Rng.int a 20);
+          b)
+        (fun () ->
+          let b = Bytes.make 23 'x' in
+          Ref_rng.fill r b ~pos:3 ~len:(Ref_rng.int r 20);
+          b);
+      let a' = Rng.split a and r' = Ref_rng.split r in
+      same "split child" (fun () -> Rng.int64 a') (fun () -> Ref_rng.next_int64 r');
+      let ac = Rng.copy a and rc = Ref_rng.copy r in
+      same "parent after split" (fun () -> Rng.int64 a) (fun () -> Ref_rng.next_int64 r);
+      same "copy" (fun () -> Rng.int64 ac) (fun () -> Ref_rng.next_int64 rc);
+      let mix_ok = ref true in
+      for i = 1 to draws do
+        let b = Int64.mul (Int64.of_int i) 0x2545F4914F6CDD1DL in
+        if not (Int64.equal (Rng.mix64 seed b) (Ref_rng.mix64 seed b)) then mix_ok := false
+      done;
+      checkb (name "mix64") true !mix_ok)
+    [ 0L; 1L; 42L; -1L ]
+
 let test_rng_sample_without_replacement () =
   let rng = Rng.create 5L in
   let s = Rng.sample_without_replacement rng 10 100 in
@@ -685,6 +772,7 @@ let () =
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "int uniformity" `Slow test_rng_int_uniformity;
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
+          Alcotest.test_case "record oracle" `Quick test_rng_matches_record_oracle;
           Alcotest.test_case "sampling without replacement" `Quick test_rng_sample_without_replacement;
           Alcotest.test_case "laplace moments" `Slow test_rng_laplace_moments;
           Alcotest.test_case "gaussian moments" `Slow test_rng_gaussian_moments;
